@@ -48,7 +48,6 @@ func BenchmarkE1NumericExtraction(b *testing.B) {
 func BenchmarkE2TermExtraction(b *testing.B) {
 	recs := corpus(b, 0)
 	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
 	var res eval.E2Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -187,7 +186,6 @@ func BenchmarkA6SplitCriterion(b *testing.B) {
 func BenchmarkA7NegationFilter(b *testing.B) {
 	recs := corpus(b, 0)
 	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
 	var res eval.A7Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -266,35 +264,10 @@ var ontologyProbeTerms = []string{"diabetes", "gallbladder removal", "high blood
 // hot path.
 func BenchmarkOntologyLookup(b *testing.B) {
 	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ont.Lookup(ontologyProbeTerms[i%len(ontologyProbeTerms)])
-	}
-}
-
-// BenchmarkOntologyLookupIndexed probes the B-tree secondary index (the
-// persistence-layer baseline).
-func BenchmarkOntologyLookupIndexed(b *testing.B) {
-	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ont.LookupIndexed(ontologyProbeTerms[i%len(ontologyProbeTerms)])
-	}
-}
-
-// BenchmarkOntologyLookupScan is the linear-scan ablation baseline for
-// the same probes.
-func BenchmarkOntologyLookupScan(b *testing.B) {
-	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ont.LookupLinear(ontologyProbeTerms[i%len(ontologyProbeTerms)])
 	}
 }
 

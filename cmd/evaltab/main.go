@@ -67,7 +67,6 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintln(out, "paper: precision (recall) for all eight numeric attributes is 100%")
 		case "E2":
 			ont := ontology.MustNew(ontology.Options{})
-			defer ont.Close()
 			fmt.Fprintln(out, eval.RunE2(recs, ont, false))
 			fmt.Fprintln(out, "paper Table 1: 96.7/96.7, 76.1/86.4, 77.8/35, 62.0/75")
 			fmt.Fprintln(out)
@@ -82,7 +81,6 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintln(out, "(the paper completed only smoking among the twelve categorical attributes)")
 		case "E5":
 			ont := ontology.MustNew(ontology.Options{})
-			defer ont.Close()
 			fmt.Fprintf(out, "E5 medication extraction: %v\n", eval.RunE5(recs, ont))
 		case "F1":
 			sent := textproc.SplitSentences("Blood pressure is 144/90, pulse of 84, temperature of 98.3, and weight of 154 pounds.")[0]
@@ -117,7 +115,6 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintln(out, eval.RunA6(recs, *seed))
 		case "A7":
 			ont := ontology.MustNew(ontology.Options{})
-			defer ont.Close()
 			fmt.Fprintln(out, eval.RunA7(recs, ont))
 		case "A8":
 			res, err := eval.RunA8(recs, *seed)

@@ -76,7 +76,6 @@ func runQuery(args []string, out io.Writer) error {
 		if ont, err = ontology.New(ontology.Options{}); err != nil {
 			return err
 		}
-		defer ont.Close()
 	}
 	w, err := core.OpenWarehouse(db, ont)
 	if err != nil {

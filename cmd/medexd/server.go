@@ -210,35 +210,17 @@ func (c condJSON) cond() core.Cond {
 	}
 }
 
-type queryStatsJSON struct {
-	Conds        int    `json:"conds"`
-	IndexedConds int    `json:"indexedConds"`
-	IndexProbes  int    `json:"indexProbes"`
-	RowsExamined int    `json:"rowsExamined"`
-	FullScans    int    `json:"fullScans"`
-	Shards       int    `json:"shards"`
-	BloomSkips   int    `json:"bloomSkips"`
-	CacheHits    int    `json:"cacheHits"`
-	CacheMisses  int    `json:"cacheMisses"`
-	Health       string `json:"health,omitempty"` // set when the engine is degraded
-}
-
-func (s *server) statsJSON(qs core.QueryStats) queryStatsJSON {
-	out := queryStatsJSON{
-		Conds:        qs.Conds,
-		IndexedConds: qs.IndexedConds,
-		IndexProbes:  qs.IndexProbes,
-		RowsExamined: qs.RowsExamined,
-		FullScans:    qs.FullScans,
-		Shards:       qs.Shards,
-		BloomSkips:   qs.BloomSkips,
-		CacheHits:    qs.CacheHits,
-		CacheMisses:  qs.CacheMisses,
-	}
+// writeAnswer writes a question's answer under key, with its query
+// stats and, when the engine is degraded, the health caveat.
+func (s *server) writeAnswer(w http.ResponseWriter, key string, answer any, qs core.QueryStats) {
+	stats := struct {
+		core.QueryStats
+		Health string `json:"health,omitempty"`
+	}{QueryStats: qs}
 	if h := s.db.Health(); !h.Ok() {
-		out.Health = h.String()
+		stats.Health = h.String()
 	}
-	return out
+	writeJSON(w, http.StatusOK, map[string]any{key: answer, "stats": stats})
 }
 
 type rowJSON struct {
@@ -284,7 +266,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		for i, m := range matched {
 			rows[i] = rowJSON{Patient: m.Patient, Attribute: m.Attribute, Value: m.Value, Numeric: m.Numeric}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"rows": rows, "stats": s.statsJSON(qs)})
+		s.writeAnswer(w, "rows", rows, qs)
 		return
 	}
 	patients, qs, err := s.wh.Ask(cond)
@@ -292,7 +274,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.errorf(w, http.StatusBadRequest, "query: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"patients": patients, "stats": s.statsJSON(qs)})
+	s.writeAnswer(w, "patients", patients, qs)
 }
 
 // handleAsk answers a multi-condition question: the patients satisfying
@@ -318,7 +300,7 @@ func (s *server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		s.errorf(w, http.StatusBadRequest, "ask: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"patients": patients, "stats": s.statsJSON(qs)})
+	s.writeAnswer(w, "patients", patients, qs)
 }
 
 // handlePatient returns every attribute row of one patient's chart.

@@ -427,3 +427,47 @@ func TestStalledClientCutOff(t *testing.T) {
 		t.Fatalf("stalled connection survived %s; read timeout did not fire", waited)
 	}
 }
+
+// TestAskReportsSegmentCounters: over a compacted store, /v1/ask and
+// /v1/query stats carry every read counter the warehouse reports,
+// including the segment ones.
+func TestAskReportsSegmentCounters(t *testing.T) {
+	db, err := store.OpenSharded(filepath.Join(t.TempDir(), "wh.db"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, testConfig(), db)
+	if resp, body := postIngest(t, ts.URL, ndjsonPatients(41, 42, 43, 44)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest = %d (%v)", resp.StatusCode, body)
+	}
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+
+	askResp, err := http.Post(ts.URL+"/v1/ask", "application/json",
+		strings.NewReader(`{"conds":[{"attr":"pulse","min":100}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer askResp.Body.Close()
+	var ask map[string]any
+	if err := json.NewDecoder(askResp.Body).Decode(&ask); err != nil {
+		t.Fatal(err)
+	}
+	query := getJSON(t, ts.URL+"/v1/query?attr=pulse&min=100", http.StatusOK)
+	for name, answer := range map[string]map[string]any{"ask": ask, "query": query} {
+		if got := len(answer["patients"].([]any)); got != 4 {
+			t.Fatalf("%s matched %d patients (%v), want 4", name, got, answer)
+		}
+		stats := answer["stats"].(map[string]any)
+		for _, key := range []string{"conds", "indexedConds", "indexProbes", "rowsExamined", "fullScans",
+			"shards", "segments", "blocksPruned", "bloomSkips", "cacheHits", "cacheMisses"} {
+			if _, ok := stats[key].(float64); !ok {
+				t.Errorf("%s stats lack %q: %v", name, key, stats)
+			}
+		}
+		if segs, _ := stats["segments"].(float64); segs < 1 {
+			t.Errorf("%s over a compacted store consulted %v segments, want >= 1", name, stats["segments"])
+		}
+	}
+}

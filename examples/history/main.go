@@ -20,7 +20,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ont.Close()
 
 	body := "Significant for a postoperative CVA after undergoing a cholecystectomy and a midline hernia closure."
 	fmt.Printf("input: %s\n\n", body)

@@ -93,7 +93,7 @@ func TestProcessMalformedPatientSection(t *testing.T) {
 }
 
 // TestPersistAllMatchesPersist checks the batched path writes exactly the
-// rows the per-record path does.
+// rows that persisting one extraction per call does.
 func TestPersistAllMatchesPersist(t *testing.T) {
 	recs := records.Generate(records.GenOptions{N: 5, Seed: 23})
 	sys, err := NewSystem(Config{Strategy: LinkGrammar, ResolveSynonyms: true})
@@ -105,7 +105,7 @@ func TestPersistAllMatchesPersist(t *testing.T) {
 	single := store.OpenMemory()
 	nSingle := 0
 	for _, ex := range exs {
-		n, err := Persist(single, ex)
+		n, err := PersistAll(single, []Extraction{ex})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestPersistAllMatchesPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 	if nBatch != nSingle || nBatch == 0 {
-		t.Fatalf("PersistAll wrote %d rows, Persist loop wrote %d", nBatch, nSingle)
+		t.Fatalf("PersistAll wrote %d rows, one-extraction calls wrote %d", nBatch, nSingle)
 	}
 
 	ts, err := single.Table("extracted")

@@ -46,7 +46,6 @@ func TestNegationStart(t *testing.T) {
 
 func TestTermExtractorFilterNegated(t *testing.T) {
 	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
 	body := "Significant for diabetes and asthma.  No history of stroke."
 
 	plain := &TermExtractor{Ont: ont, ResolveSynonyms: true}
@@ -73,7 +72,6 @@ func TestTermExtractorFilterNegated(t *testing.T) {
 
 func TestNegationScopeIsPerSentence(t *testing.T) {
 	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
 	// The negation in sentence one must not leak into sentence two.
 	body := "No history of stroke.  Significant for diabetes."
 	x := &TermExtractor{Ont: ont, ResolveSynonyms: true, FilterNegated: true}

@@ -185,13 +185,6 @@ func extractionRows(ex Extraction, next int64) []store.Row {
 // individual log records modest.
 const persistBatchRows = 512
 
-// Persist writes an extraction into the database, one row per attribute
-// value and one WAL record for the whole extraction, and returns the
-// number of rows written.
-func Persist(db store.Engine, ex Extraction) (int, error) {
-	return PersistAll(db, []Extraction{ex})
-}
-
 // PersistAll writes many extractions into the database, creating the
 // extracted table once and batching rows into a few WAL records instead
 // of logging row-at-a-time. It returns the number of rows written.

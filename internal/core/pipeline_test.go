@@ -42,7 +42,7 @@ func TestPersistExtraction(t *testing.T) {
 	db := store.OpenMemory()
 	total := 0
 	for _, r := range recs {
-		n, err := Persist(db, sys.Process(r.Text))
+		n, err := PersistAll(db, []Extraction{sys.Process(r.Text)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestPersistAllAfterShardCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if !db.RecoveredWithLoss() {
+	if !db.Health().RecoveredWithLoss {
 		t.Fatal("fixture did not lose rows; test proves nothing")
 	}
 	// The recovered store must accept a fresh persistence pass without

@@ -140,19 +140,15 @@ func (w *Warehouse) resolveTerm(term string) string {
 // QueryStats aggregates the store-level execution stats of a warehouse
 // question, one entry per condition. On a sharded engine the per-shard
 // stats of each condition arrive pre-merged; Shards reports the fan-out
-// width.
+// width. The JSON keys are the daemon's wire format.
 type QueryStats struct {
-	Conds        int
-	IndexedConds int // conditions answered via a secondary index
-	IndexProbes  int
-	RowsExamined int
-	FullScans    int
-	Shards       int // partitions each condition fanned out across
-	Segments     int // segment files consulted (scans and index-entry resolves)
-	BlocksPruned int // segment blocks skipped via zone maps
-	BloomSkips   int // segment probes rejected by a bloom filter (no IO)
-	CacheHits    int // blocks served from the shared decoded-block cache
-	CacheMisses  int // blocks read from disk (and cached for next time)
+	Conds        int `json:"conds"`
+	IndexedConds int `json:"indexedConds"` // conditions answered via a secondary index
+	IndexProbes  int `json:"indexProbes"`
+	RowsExamined int `json:"rowsExamined"`
+	FullScans    int `json:"fullScans"`
+	Shards       int `json:"shards"` // partitions each condition fanned out across
+	store.ReadCounters
 }
 
 func (s *QueryStats) add(st store.QueryStats) {
@@ -168,11 +164,7 @@ func (s *QueryStats) add(st store.QueryStats) {
 	if st.Shards > s.Shards {
 		s.Shards = st.Shards
 	}
-	s.Segments += st.Segments
-	s.BlocksPruned += st.BlocksPruned
-	s.BloomSkips += st.BloomSkips
-	s.CacheHits += st.CacheHits
-	s.CacheMisses += st.CacheMisses
+	s.ReadCounters.Add(st.ReadCounters)
 }
 
 // Ask answers a paper-style question: it returns the sorted patient ids

@@ -41,7 +41,6 @@ func TestWarehouseAsk(t *testing.T) {
 		t.Fatal(err)
 	}
 	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
 	w, err := OpenWarehouse(db, ont)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/classify"
@@ -248,7 +247,6 @@ func RunA4(recs []records.Record, coverages []float64) (A4Result, error) {
 		med.Add(e2.PreMedical.ETrue+e2.OtherMedical.ETrue, e2.PreMedical.ETotal+e2.OtherMedical.ETotal, e2.PreMedical.TInst+e2.OtherMedical.TInst)
 		surg.Add(e2.PreSurgical.ETrue+e2.OtherSurgical.ETrue, e2.PreSurgical.ETotal+e2.OtherSurgical.ETotal, e2.PreSurgical.TInst+e2.OtherSurgical.TInst)
 		res.Rows = append(res.Rows, A4Row{Coverage: cov, Medical: med, Surgical: surg})
-		ont.Close()
 	}
 	return res, nil
 }
@@ -471,14 +469,4 @@ func (r A8Result) String() string {
 			row.Backend, 100*row.Accuracy, 100*row.StdDev, row.MinFeatures, row.MaxFeatures)
 	}
 	return b.String()
-}
-
-// SortedAttrs returns map keys in stable order (helper for reports).
-func SortedAttrs(m map[string]Accuracy) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

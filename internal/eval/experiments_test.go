@@ -29,7 +29,6 @@ func TestRunE1Paper(t *testing.T) {
 
 func TestRunE2Table1Shape(t *testing.T) {
 	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
 	res := RunE2(corpus(t), ont, false)
 	// Table 1's ordering: predefined medical strongest, predefined
 	// surgical recall weakest.
@@ -128,7 +127,6 @@ func TestRunA4CoverageMonotone(t *testing.T) {
 
 func TestRunE5Medications(t *testing.T) {
 	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
 	pr := RunE5(corpus(t), ont)
 	if pr.Precision() < 0.95 || pr.Recall() < 0.9 {
 		t.Errorf("medication extraction should be near-perfect on canonical corpus: %v", pr)
@@ -152,7 +150,6 @@ func TestRunA6CriterionComparison(t *testing.T) {
 
 func TestRunA7NegationImprovesPrecision(t *testing.T) {
 	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
 	res := RunA7(corpus(t), ont)
 	if res.Filtered.OtherMedical.Precision() < res.Baseline.OtherMedical.Precision() {
 		t.Errorf("negation filter should raise other-medical precision: %.3f → %.3f",

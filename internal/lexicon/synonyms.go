@@ -81,19 +81,6 @@ func Synonyms(term string) []string {
 	return out
 }
 
-// AreSynonyms reports whether a and b belong to the same synonym set
-// (or are equal after lower-casing).
-func AreSynonyms(a, b string) bool {
-	a = strings.ToLower(strings.TrimSpace(a))
-	b = strings.ToLower(strings.TrimSpace(b))
-	if a == b {
-		return true
-	}
-	ia, oka := synonymIndex[a]
-	ib, okb := synonymIndex[b]
-	return oka && okb && ia == ib
-}
-
 // ExpandWithSynonyms returns term plus all its synonyms plus inflected
 // variants of each, deduplicated. This is the full recall-widening set the
 // numeric-field extractor searches for a feature name.

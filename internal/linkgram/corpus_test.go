@@ -95,7 +95,7 @@ func verifyLinkageInvariants(t *testing.T, text string, lk *Linkage) {
 			t.Errorf("%q: disconnected word %q", text, lk.Words[i].Text)
 		}
 	}
-	dist := lk.Graph(UniformWeights).ShortestFrom(0)
+	dist := lk.Graph(func(string) float64 { return 1 }).ShortestFrom(0)
 	for i := range dist {
 		if dist[i] > 1e17 {
 			t.Errorf("%q: word %q unreachable from wall", text, lk.Words[i].Text)

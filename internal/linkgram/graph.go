@@ -23,9 +23,6 @@ func DefaultWeights(label string) float64 {
 	}
 }
 
-// UniformWeights weights every link equally; used by the A1 ablation.
-func UniformWeights(string) float64 { return 1 }
-
 // Graph is the weighted undirected view of a linkage.
 type Graph struct {
 	n   int

@@ -109,7 +109,7 @@ func checkPlanar(t *testing.T, text string, lk *Linkage) {
 // checkConnected verifies every parse word is reachable from the wall.
 func checkConnected(t *testing.T, text string, lk *Linkage) {
 	t.Helper()
-	dist := lk.Graph(UniformWeights).ShortestFrom(0)
+	dist := lk.Graph(func(string) float64 { return 1 }).ShortestFrom(0)
 	for i, d := range dist {
 		if d > 1e17 {
 			t.Errorf("%q: word %q unreachable from wall", text, lk.Words[i].Text)

@@ -3,9 +3,9 @@
 // types, and a coverage knob that emulates ontology incompleteness (the
 // cause the paper assigns to its term-extraction errors).
 //
-// Mirroring the paper's setup ("we downloaded UMLS data and installed it
-// in a local DB2 database; the data is accessed by JDBC"), the vocabulary
-// is loaded into an embedded store table indexed by normalized string.
+// Where the paper installed UMLS in a local DB2 database read over JDBC,
+// the vocabulary here is loaded into in-memory maps keyed by normalized
+// string.
 package ontology
 
 // SemType is the semantic type of a concept, the coarse UMLS-style

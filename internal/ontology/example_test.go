@@ -10,7 +10,6 @@ import (
 // normalization.
 func ExampleOntology_Lookup() {
 	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
 	for _, surface := range []string{"high blood pressures", "htn", "hypertension"} {
 		c := ont.Lookup(surface)
 		fmt.Printf("%s → %s (%s)\n", surface, c.Preferred, c.CUI)

@@ -1,13 +1,9 @@
 package ontology
 
-import (
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestLookupPreferredNames(t *testing.T) {
 	o := MustNew(Options{})
-	defer o.Close()
 	for _, name := range []string{"diabetes", "cholecystectomy", "hypertension", "breast cancer"} {
 		c := o.Lookup(name)
 		if c == nil {
@@ -22,7 +18,6 @@ func TestLookupPreferredNames(t *testing.T) {
 
 func TestLookupSynonymsAndVariants(t *testing.T) {
 	o := MustNew(Options{})
-	defer o.Close()
 	cases := map[string]string{
 		"high blood pressure":  "hypertension",
 		"high blood pressures": "hypertension", // inflected variant
@@ -47,7 +42,6 @@ func TestLookupSynonymsAndVariants(t *testing.T) {
 
 func TestLookupUnknown(t *testing.T) {
 	o := MustNew(Options{})
-	defer o.Close()
 	for _, term := range []string{"quantum flux capacitance", "", "  "} {
 		if c := o.Lookup(term); c != nil {
 			t.Errorf("Lookup(%q) = %v, want nil", term, c.Preferred)
@@ -57,7 +51,6 @@ func TestLookupUnknown(t *testing.T) {
 
 func TestLookupWordsMatchesLookup(t *testing.T) {
 	o := MustNew(Options{})
-	defer o.Close()
 	a := o.Lookup("midline hernia closure")
 	b := o.LookupWords([]string{"midline", "hernia", "closures"})
 	if a == nil || b == nil || a.CUI != b.CUI {
@@ -67,7 +60,6 @@ func TestLookupWordsMatchesLookup(t *testing.T) {
 
 func TestDisableSynonyms(t *testing.T) {
 	o := MustNew(Options{DisableSynonyms: true})
-	defer o.Close()
 	if o.Lookup("cholecystectomy") == nil {
 		t.Error("preferred name must still resolve")
 	}
@@ -78,9 +70,7 @@ func TestDisableSynonyms(t *testing.T) {
 
 func TestCoverageReducesConcepts(t *testing.T) {
 	full := MustNew(Options{})
-	defer full.Close()
 	half := MustNew(Options{Coverage: 0.5})
-	defer half.Close()
 	if half.Len() >= full.Len() {
 		t.Errorf("coverage 0.5: %d concepts, full: %d", half.Len(), full.Len())
 	}
@@ -89,60 +79,27 @@ func TestCoverageReducesConcepts(t *testing.T) {
 	}
 	// Deterministic.
 	half2 := MustNew(Options{Coverage: 0.5})
-	defer half2.Close()
 	if half.Len() != half2.Len() {
 		t.Error("coverage selection not deterministic")
 	}
 }
 
-func TestLookupLinearAgrees(t *testing.T) {
-	o := MustNew(Options{})
-	defer o.Close()
-	for _, term := range []string{"diabetes", "gallbladder removal", "nonexistent thing"} {
-		a, b := o.Lookup(term), o.LookupLinear(term)
-		switch {
-		case a == nil && b == nil:
-		case a != nil && b != nil && a.CUI == b.CUI:
-		default:
-			t.Errorf("index/scan disagree on %q: %v vs %v", term, a, b)
-		}
-	}
-}
-
-func TestPersistedOntology(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "umls.db")
-	o, err := New(Options{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := o.TermCount()
-	if n == 0 {
-		t.Fatal("no terms loaded")
-	}
-	if o.Lookup("diabetes") == nil {
-		t.Error("lookup on persisted ontology failed")
-	}
-	o.Close()
-}
-
 func TestConceptAccessors(t *testing.T) {
 	o := MustNew(Options{})
-	defer o.Close()
-	c := o.ConceptByName("diabetes")
+	c := o.Lookup("diabetes")
 	if c == nil || c.Type != Disease {
-		t.Fatalf("ConceptByName(diabetes) = %+v", c)
+		t.Fatalf("Lookup(diabetes) = %+v", c)
 	}
 	if o.Concept(c.CUI) != c {
 		t.Error("Concept(CUI) mismatch")
 	}
-	if o.ConceptByName("zzz") != nil {
-		t.Error("ConceptByName(zzz) should be nil")
+	if o.Concept("C9999") != nil {
+		t.Error("Concept(C9999) should be nil")
 	}
 }
 
 func TestPredefinedListsResolve(t *testing.T) {
 	o := MustNew(Options{})
-	defer o.Close()
 	for _, name := range PredefinedMedical {
 		if c := o.Lookup(name); c == nil {
 			t.Errorf("predefined medical %q not in ontology", name)
@@ -157,7 +114,6 @@ func TestPredefinedListsResolve(t *testing.T) {
 
 func TestSemanticTypes(t *testing.T) {
 	o := MustNew(Options{})
-	defer o.Close()
 	cases := map[string]SemType{
 		"cholecystectomy": Procedure,
 		"diabetes":        Disease,

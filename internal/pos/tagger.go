@@ -31,8 +31,8 @@ func TagSection(sec *textproc.DocSection, i int) []TaggedToken {
 	return tagged
 }
 
-// tagTokens is the single tagging core behind TagSentence and TagWords:
-// initial tag per token, then the contextual repair pass. It increments
+// tagTokens is the tagging core behind TagSentence: initial tag per
+// token, then the contextual repair pass. It increments
 // the process-wide tag pass counter.
 func tagTokens(toks []textproc.Token) []TaggedToken {
 	tagPasses.Add(1)
@@ -42,25 +42,6 @@ func tagTokens(toks []textproc.Token) []TaggedToken {
 	}
 	applyContextRules(out)
 	return out
-}
-
-// TagWords tags a plain word sequence (used by tests and by the ID3
-// feature extractor when it already has words).
-func TagWords(words []string) []Tag {
-	toks := make([]textproc.Token, len(words))
-	for i, w := range words {
-		kind := textproc.Word
-		if len(w) > 0 && w[0] >= '0' && w[0] <= '9' {
-			kind = textproc.Number
-		}
-		toks[i] = textproc.Token{Text: w, Kind: kind}
-	}
-	tagged := tagTokens(toks)
-	tags := make([]Tag, len(tagged))
-	for i, t := range tagged {
-		tags[i] = t.Tag
-	}
-	return tags
 }
 
 // initialTag assigns the most likely tag from the lexicon or the suffix

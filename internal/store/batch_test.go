@@ -48,7 +48,7 @@ func TestInsertBatchDurableAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if db2.RecoveredWithLoss() {
+	if db2.Health().RecoveredWithLoss {
 		t.Error("clean close reported loss")
 	}
 	tbl2, err := db2.Table("t")
@@ -109,7 +109,7 @@ func TestInsertBatchTruncatedTailDropsWholeBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if !db2.RecoveredWithLoss() {
+	if !db2.Health().RecoveredWithLoss {
 		t.Error("torn batch tail not reported as loss")
 	}
 	tbl2, err := db2.Table("t")

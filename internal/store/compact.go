@@ -1,11 +1,9 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
 // Compaction folds a shard's write-ahead log and memtable into
@@ -55,47 +53,20 @@ var testHookCompactBuild func()
 // holds only the database read lock, so table reads, writes and
 // introspection (Stats, Health) proceed during the rewrite; per shard
 // it serializes with the background compactor.
-func (db *DB) Compact() error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if len(db.shards) == 1 {
-		return db.compactShard(db.shards[0], majorCompact)
-	}
-	errs := make([]error, len(db.shards))
-	var wg sync.WaitGroup
-	for i, sh := range db.shards {
-		wg.Add(1)
-		go func(i int, sh *Shard) {
-			defer wg.Done()
-			errs[i] = db.compactShard(sh, majorCompact)
-		}(i, sh)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
+func (db *DB) Compact() error { return db.compactAll(majorCompact) }
 
 // Flush runs a minor compaction of every shard, in parallel: each
 // shard's memtable is folded into one new segment run per table. It is
 // the explicit way to push recent writes into the segment layer —
 // tests and benchmarks use it to build multi-run stacks
 // deterministically without waiting for the background compactor.
-func (db *DB) Flush() error {
+func (db *DB) Flush() error { return db.compactAll(minorCompact) }
+
+// compactAll runs one compaction of the given mode on every shard.
+func (db *DB) compactAll(mode compactMode) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if len(db.shards) == 1 {
-		return db.compactShard(db.shards[0], minorCompact)
-	}
-	errs := make([]error, len(db.shards))
-	var wg sync.WaitGroup
-	for i, sh := range db.shards {
-		wg.Add(1)
-		go func(i int, sh *Shard) {
-			defer wg.Done()
-			errs[i] = db.compactShard(sh, minorCompact)
-		}(i, sh)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return fanOut(len(db.shards), func(i int) error { return db.compactShard(db.shards[i], mode) })
 }
 
 // compactShard runs one compaction of one shard, serialized against
@@ -117,10 +88,10 @@ func (db *DB) compactShard(sh *Shard, mode compactMode) error {
 type tableCompact struct {
 	name    string
 	ts      *tableShard
-	snap    shardSnap        // pinned segments + captured memtable view
-	capMem  map[string]Row   // captured live memtable rows by encoded pk
-	idxCols []string         // secondary-index inventory at capture
-	seg     *segment         // the new run (nil: minor with nothing to fold)
+	snap    shardSnap         // pinned segments + captured memtable view
+	capMem  map[string]Row    // captured live memtable rows by encoded pk
+	idxCols []string          // secondary-index inventory at capture
+	seg     *segment          // the new run (nil: minor with nothing to fold)
 	newIdx  map[string]*btree // major: rebuilt by-reference indexes
 
 	// Commit plan, computed under the table's write lock in phase C.

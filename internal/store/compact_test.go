@@ -50,7 +50,7 @@ func TestCompactShrinksLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if db2.RecoveredWithLoss() {
+	if db2.Health().RecoveredWithLoss {
 		t.Error("compacted log reported loss")
 	}
 	tbl2, _ := db2.Table("concepts")

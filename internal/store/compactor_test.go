@@ -117,7 +117,7 @@ func TestMinorCompactionRewritesOnlyMemtable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if db2.RecoveredWithLoss() {
+	if db2.Health().RecoveredWithLoss {
 		t.Fatal("multi-run reopen reported loss")
 	}
 	tbl2, err := db2.Table("concepts")
@@ -413,7 +413,7 @@ func TestBackgroundCompactionUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if db2.RecoveredWithLoss() {
+	if db2.Health().RecoveredWithLoss {
 		t.Fatal("reopen after background compaction reported loss")
 	}
 	tbl2, _ := db2.Table("concepts")
@@ -531,7 +531,7 @@ func TestOpenSweepsCompactionLeftovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if db2.RecoveredWithLoss() {
+	if db2.Health().RecoveredWithLoss {
 		t.Fatal("orphan sweep misread as data loss")
 	}
 	for _, p := range []string{orphanSeg, orphanWAL} {

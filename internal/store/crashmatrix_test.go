@@ -72,10 +72,10 @@ func TestCrashMatrixBatchTruncation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: reopen failed: %v", cut, err)
 		}
-		if cut < len(raw) && !boundary[cut] && !db.RecoveredWithLoss() {
+		if cut < len(raw) && !boundary[cut] && !db.Health().RecoveredWithLoss {
 			t.Errorf("cut=%d: torn log not reported as loss", cut)
 		}
-		if boundary[cut] && db.RecoveredWithLoss() {
+		if boundary[cut] && db.Health().RecoveredWithLoss {
 			t.Errorf("cut=%d: clean prefix reported as loss", cut)
 		}
 
@@ -119,7 +119,7 @@ func TestCrashMatrixBatchTruncation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cut=%d: reopen after repair: %v", cut, err)
 			}
-			if db.RecoveredWithLoss() {
+			if db.Health().RecoveredWithLoss {
 				t.Errorf("cut=%d: repaired log still reports loss", cut)
 			}
 			tbl, err = db.Table("extracted")

@@ -194,7 +194,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if db2.RecoveredWithLoss() {
+	if db2.Health().RecoveredWithLoss {
 		t.Error("clean close reported loss")
 	}
 	tbl2, err := db2.Table("concepts")
@@ -242,7 +242,7 @@ func TestCrashRecoveryTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if !db2.RecoveredWithLoss() {
+	if !db2.Health().RecoveredWithLoss {
 		t.Error("torn tail not reported")
 	}
 	tbl2, err := db2.Table("concepts")
@@ -278,7 +278,7 @@ func TestCrashRecoveryCorruptedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if !db2.RecoveredWithLoss() {
+	if !db2.Health().RecoveredWithLoss {
 		t.Error("CRC corruption not detected")
 	}
 	tbl2, _ := db2.Table("concepts")

@@ -38,9 +38,6 @@ type Engine interface {
 	CompactionStats() CompactionStats
 	// LogSize returns the total bytes of write-ahead log.
 	LogSize() int64
-	// RecoveredWithLoss reports whether opening truncated a corrupt
-	// WAL tail on any shard.
-	RecoveredWithLoss() bool
 	// Health reports the engine's degradation state — the
 	// failed-compaction write latch and recovery losses — so callers
 	// (daemons, CLIs) can act on it up front instead of discovering a

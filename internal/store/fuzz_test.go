@@ -96,7 +96,7 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("second Open must replay the truncated log cleanly: %v", err)
 		}
 		defer db.Close()
-		if db.RecoveredWithLoss() {
+		if db.Health().RecoveredWithLoss {
 			t.Fatal("recovery not idempotent: second open dropped records again")
 		}
 		for _, name := range names {
@@ -219,7 +219,7 @@ func FuzzShardWALReplay(f *testing.F) {
 			t.Fatalf("second Open must replay the truncated logs cleanly: %v", err)
 		}
 		defer db.Close()
-		if db.RecoveredWithLoss() {
+		if db.Health().RecoveredWithLoss {
 			t.Fatal("recovery not idempotent: second open dropped records again")
 		}
 		tbl, err = db.Table("extracted")

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"errors"
-	"sync"
 )
 
 // ErrBadQuery reports a malformed predicate (unknown operator).
@@ -70,8 +69,8 @@ type Query struct {
 // QueryStats reports how a query executed, so callers (and tests) can
 // verify the planner's choice: UsedIndex with FullScan == false means no
 // row outside the chosen index entries was touched. For a fan-out query
-// the per-shard stats are summed (probes, rows examined) and Shards
-// counts the partitions examined.
+// the per-shard stats are summed (probes, rows examined, read counters)
+// and Shards counts the partitions examined.
 type QueryStats struct {
 	UsedIndex    bool   // candidates came from a secondary index
 	IndexCol     string // the index column, when UsedIndex
@@ -79,11 +78,28 @@ type QueryStats struct {
 	RowsExamined int    // candidate rows fetched and tested
 	FullScan     bool   // fell back to scanning the primary index
 	Shards       int    // shards examined (1 on a single-shard engine)
-	Segments     int    // segment files consulted (scans and index-entry resolves)
-	BlocksPruned int    // segment blocks skipped via zone maps
-	BloomSkips   int    // segment probes rejected by a bloom filter (no IO)
-	CacheHits    int    // blocks served from the shared decoded-block cache
-	CacheMisses  int    // blocks read from disk (and cached for next time)
+	ReadCounters
+}
+
+// ReadCounters count what a read did in the segment layer. They are
+// declared once: the store fills them, core sums them per question, and
+// the daemon serializes them under these JSON keys. Every segment read
+// takes a *ReadCounters; nil means "don't count".
+type ReadCounters struct {
+	Segments     int `json:"segments"`     // segment files consulted (scans and index-entry resolves)
+	BlocksPruned int `json:"blocksPruned"` // segment blocks skipped via zone maps
+	BloomSkips   int `json:"bloomSkips"`   // segment probes rejected by a bloom filter (no IO)
+	CacheHits    int `json:"cacheHits"`    // blocks served from the shared decoded-block cache
+	CacheMisses  int `json:"cacheMisses"`  // blocks read from disk (and cached for next time)
+}
+
+// Add sums o into c.
+func (c *ReadCounters) Add(o ReadCounters) {
+	c.Segments += o.Segments
+	c.BlocksPruned += o.BlocksPruned
+	c.BloomSkips += o.BloomSkips
+	c.CacheHits += o.CacheHits
+	c.CacheMisses += o.CacheMisses
 }
 
 // Plan renders the access path for logs ("index(attribute)" or "scan").
@@ -125,26 +141,13 @@ func (t *Table) Query(q Query) ([]Row, QueryStats, error) {
 		cis[i] = ci
 	}
 
-	if len(t.shards) == 1 {
-		rows, stats, err := t.shards[0].query(q, cis)
-		stats.Shards = 1
-		return rows, stats, err
-	}
-
-	// Fan out: one goroutine per shard, identical plan everywhere.
 	parts := make([][]Row, len(t.shards))
 	statss := make([]QueryStats, len(t.shards))
-	errs := make([]error, len(t.shards))
-	var wg sync.WaitGroup
-	for i, ts := range t.shards {
-		wg.Add(1)
-		go func(i int, ts *tableShard) {
-			defer wg.Done()
-			parts[i], statss[i], errs[i] = ts.query(q, cis)
-		}(i, ts)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	err := fanOut(len(t.shards), func(i int) (err error) {
+		parts[i], statss[i], err = t.shards[i].query(q, cis)
+		return err
+	})
+	if err != nil {
 		return nil, QueryStats{Shards: len(t.shards)}, err
 	}
 
@@ -157,11 +160,7 @@ func (t *Table) Query(q Query) ([]Row, QueryStats, error) {
 		}
 		stats.IndexProbes += st.IndexProbes
 		stats.RowsExamined += st.RowsExamined
-		stats.Segments += st.Segments
-		stats.BlocksPruned += st.BlocksPruned
-		stats.BloomSkips += st.BloomSkips
-		stats.CacheHits += st.CacheHits
-		stats.CacheMisses += st.CacheMisses
+		stats.ReadCounters.Add(st.ReadCounters)
 	}
 	stats.Shards = len(t.shards)
 	// Each part is already in the plan's order; merge restores the
@@ -186,15 +185,9 @@ func (t *Table) Query(q Query) ([]Row, QueryStats, error) {
 func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, err error) {
 	ts.mu.RLock()
 
-	// rs accumulates the acceleration counters (bloom rejects, cache
-	// hits/misses, zone-map pruning) across whatever access path runs;
-	// fold them into the returned stats on every exit.
-	var rs readStats
-	defer func() {
-		stats.BloomSkips = rs.bloomSkips
-		stats.CacheHits = rs.cacheHits
-		stats.CacheMisses = rs.cacheMisses
-	}()
+	// rs accumulates the read counters (bloom rejects, cache hits and
+	// misses, zone-map pruning) across whatever access path runs.
+	rs := &stats.ReadCounters
 	limit := q.Limit
 	done := func() bool { return limit > 0 && len(out) >= limit }
 	// filter tests every predicate except the ones the access path
@@ -229,7 +222,7 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 			// Resolve the whole posting list in one batched segment walk
 			// (each touched block decoded once), then examine in order.
 			entries := pv.(*postingList).entries
-			rows, rerr := ts.resolveAll(entries, &rs)
+			rows, rerr := ts.resolveAll(entries, rs)
 			if rerr != nil {
 				return nil, stats, rerr
 			}
@@ -267,7 +260,7 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 			// One batched resolve per posting list: entries are pk-sorted,
 			// so the segment walk touches each block at most once.
 			entries := v.(*postingList).entries
-			rows, rerr := ts.resolveAll(entries, &rs)
+			rows, rerr := ts.resolveAll(entries, rs)
 			if rerr != nil {
 				walkErr = rerr
 				return false
@@ -303,8 +296,7 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 	ts.mu.RUnlock()
 	defer ss.release()
 	stats.FullScan = true
-	stats.Segments = len(ss.segs)
-	err = ss.iterate(lo, hi, &rs, func(row Row) bool {
+	err = ss.iterate(lo, hi, rs, func(row Row) bool {
 		stats.RowsExamined++
 		if filter(row, -1) {
 			out = append(out, row)
@@ -314,7 +306,6 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 		}
 		return true
 	})
-	stats.BlocksPruned = rs.blocksPruned
 	if err != nil {
 		return nil, stats, err
 	}

@@ -261,7 +261,7 @@ func TestIndexSurvivesCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if db.RecoveredWithLoss() {
+	if db.Health().RecoveredWithLoss {
 		t.Fatal("compacted log reported loss")
 	}
 	tbl, err = db.Table("extracted")

@@ -114,15 +114,15 @@ func TestSegmentFilterPersisted(t *testing.T) {
 	if sg.filter == nil {
 		t.Fatal("new segment has no bloom filter")
 	}
-	var rs readStats
+	var rs ReadCounters
 	for i := 1; i <= 600; i++ {
 		row, ok, err := sg.get(encodeKey(Int(int64(i))), &rs)
 		if err != nil || !ok || row[0].I != int64(i) {
 			t.Fatalf("get(%d): ok=%v err=%v", i, ok, err)
 		}
 	}
-	if rs.bloomSkips != 0 {
-		t.Fatalf("present keys counted %d bloom skips", rs.bloomSkips)
+	if rs.BloomSkips != 0 {
+		t.Fatalf("present keys counted %d bloom skips", rs.BloomSkips)
 	}
 	// Absent keys inside the zone map: a sparse segment (even pks only)
 	// makes every odd pk an in-zone miss the zone map cannot reject.
@@ -145,7 +145,7 @@ func TestSegmentFilterPersisted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sg2.unref()
-	rs = readStats{}
+	rs = ReadCounters{}
 	for i := 1; i <= 600; i++ {
 		pk := int64(2*i + 1) // in [3,1201): inside the zone map, never stored
 		if pk > 1199 {
@@ -155,8 +155,8 @@ func TestSegmentFilterPersisted(t *testing.T) {
 			t.Fatalf("get(%d): ok=%v err=%v, want miss", pk, ok, err)
 		}
 	}
-	if rs.bloomSkips < 500 {
-		t.Fatalf("in-zone misses produced only %d bloom skips", rs.bloomSkips)
+	if rs.BloomSkips < 500 {
+		t.Fatalf("in-zone misses produced only %d bloom skips", rs.BloomSkips)
 	}
 }
 
@@ -198,25 +198,25 @@ func TestBloomSkipsOnRunStack(t *testing.T) {
 	}
 	// A key in the oldest run (r=0) is inside every newer run's zone
 	// map; the newer runs' filters must reject it without IO.
-	var rs readStats
+	var rs ReadCounters
 	row, ok, err := ts.segGet(encodeKey(Int(16)), &rs) // run 0 holds 16 (i=2, r=0)
 	if err != nil || !ok || row[0].I != 16 {
 		t.Fatalf("segGet(16): ok=%v err=%v", ok, err)
 	}
-	if rs.bloomSkips == 0 {
+	if rs.BloomSkips == 0 {
 		t.Fatalf("probing through the run stack produced no bloom skips (stats %+v)", rs)
 	}
 	// An absent odd key must miss with (almost always) zero block
 	// reads; across many probes the filter must reject nearly all.
-	rs = readStats{}
+	rs = ReadCounters{}
 	for pk := int64(1); pk < 2*runs*perRun; pk += 2 {
 		if _, ok, err := ts.segGet(encodeKey(Int(pk)), &rs); ok || err != nil {
 			t.Fatalf("segGet(%d): ok=%v err=%v, want miss", pk, ok, err)
 		}
 	}
 	probes := int(runs * perRun) // one potential probe per run per key
-	if rs.bloomSkips < probes/2 {
-		t.Fatalf("absent-key probes: only %d bloom skips (stats %+v)", rs.bloomSkips, rs)
+	if rs.BloomSkips < probes/2 {
+		t.Fatalf("absent-key probes: only %d bloom skips (stats %+v)", rs.BloomSkips, rs)
 	}
 }
 
@@ -315,11 +315,11 @@ func TestSegmentCorruptFilterFallsBack(t *testing.T) {
 		if sg.filter != nil {
 			t.Fatalf("flip at %d: corrupt filter decoded non-nil", off)
 		}
-		var rs readStats
+		var rs ReadCounters
 		if row, ok, gerr := sg.get(encodeKey(Int(300)), &rs); gerr != nil || !ok || row[0].I != 300 {
 			t.Fatalf("flip at %d: get(300): ok=%v err=%v", off, ok, gerr)
 		}
-		if rs.bloomSkips != 0 {
+		if rs.BloomSkips != 0 {
 			t.Fatalf("flip at %d: filter-absent read counted bloom skips", off)
 		}
 		sg.unref()

@@ -293,17 +293,17 @@ var segReadBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 8192); ret
 // consulting the shared cache first. A hit serves the immutable decoded
 // slices straight from memory; a miss pays disk + CRC + decode and
 // populates the cache for every future reader of this segment.
-func (sg *segment) readBlock(bi int, rs *readStats) ([]Row, [][]byte, error) {
+func (sg *segment) readBlock(bi int, rs *ReadCounters) ([]Row, [][]byte, error) {
 	if sg.cache != nil {
 		k := blockKey{seg: sg.id, bi: bi}
 		if rows, keys, ok := sg.cache.get(k); ok {
 			if rs != nil {
-				rs.cacheHits++
+				rs.CacheHits++
 			}
 			return rows, keys, nil
 		}
 		if rs != nil {
-			rs.cacheMisses++
+			rs.CacheMisses++
 		}
 		rows, keys, err := sg.readBlockDisk(bi)
 		if err != nil {
@@ -362,9 +362,9 @@ func (sg *segment) readBlockDisk(bi int) ([]Row, [][]byte, error) {
 }
 
 // noteBloomSkip records a probe the bloom filter answered without IO.
-func (sg *segment) noteBloomSkip(rs *readStats) {
+func (sg *segment) noteBloomSkip(rs *ReadCounters) {
 	if rs != nil {
-		rs.bloomSkips++
+		rs.BloomSkips++
 	}
 	if sg.cache != nil {
 		sg.cache.bloomSkips.Add(1)
@@ -373,7 +373,7 @@ func (sg *segment) noteBloomSkip(rs *readStats) {
 
 // get returns the row with the given primary key, using the zone maps
 // and the bloom filter to reject misses without touching the file.
-func (sg *segment) get(key []byte, rs *readStats) (Row, bool, error) {
+func (sg *segment) get(key []byte, rs *ReadCounters) (Row, bool, error) {
 	if len(sg.blocks) == 0 || bytes.Compare(key, sg.minKey) < 0 || bytes.Compare(key, sg.maxKey) > 0 {
 		return nil, false, nil
 	}
@@ -414,13 +414,13 @@ func (sg *segment) get(key []byte, rs *readStats) (Row, bool, error) {
 // segment. Because both the pks and the block index are sorted, the
 // walk advances a single block cursor and decodes each touched block
 // exactly once — the whole point of batching.
-func (sg *segment) getBatch(entries []postingEntry, missing []int, out []Row, rs *readStats) ([]int, error) {
+func (sg *segment) getBatch(entries []postingEntry, missing []int, out []Row, rs *ReadCounters) ([]int, error) {
 	if len(sg.blocks) == 0 || len(missing) == 0 {
 		return missing, nil
 	}
 	rest := missing[:0]
-	bi := 0                    // first candidate block (monotone: pks ascend)
-	var rows []Row             // currently decoded block
+	bi := 0        // first candidate block (monotone: pks ascend)
+	var rows []Row // currently decoded block
 	var keys [][]byte
 	loaded := -1
 	for _, pos := range missing {
@@ -526,13 +526,13 @@ type segIter struct {
 	keys   [][]byte
 	ri     int
 	pruned int
-	stats  *readStats // cache hit/miss accounting for loaded blocks
+	stats  *ReadCounters // cache hit/miss accounting for loaded blocks
 	err    error
 }
 
 // newSegIter positions an iterator at the first row >= lo, counting
 // the blocks the zone map let it skip.
-func newSegIter(sg *segment, lo, hi []byte, stats *readStats) *segIter {
+func newSegIter(sg *segment, lo, hi []byte, stats *ReadCounters) *segIter {
 	it := &segIter{seg: sg, hi: hi, stats: stats}
 	// First block that can contain a key >= lo.
 	start := 0

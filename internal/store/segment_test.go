@@ -291,7 +291,7 @@ func TestCompactEmitsSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if db.RecoveredWithLoss() {
+	if db.Health().RecoveredWithLoss {
 		t.Fatal("clean reopen reported loss")
 	}
 	tbl, err = db.Table("extracted")
@@ -393,9 +393,15 @@ func TestSnapshotIsolation(t *testing.T) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	// deleted closes once the writer has made its 20 deletes (or failed):
+	// the reader keeps scanning until then, so the live view has surely
+	// moved on by the time stop closes.
+	deleted := make(chan struct{})
+	markDeleted := sync.OnceFunc(func() { close(deleted) })
 	wg.Add(2)
 	go func() { // writer: batches of new rows + deletes of old ones
 		defer wg.Done()
+		defer markDeleted()
 		id := int64(100000)
 		victim := int64(1)
 		for i := 0; ; i++ {
@@ -419,6 +425,9 @@ func TestSnapshotIsolation(t *testing.T) {
 					return
 				}
 				victim++
+				if victim > 20 {
+					markDeleted()
+				}
 			}
 		}
 	}()
@@ -432,8 +441,16 @@ func TestSnapshotIsolation(t *testing.T) {
 		}
 	}()
 
+	writerDeleted := func() bool {
+		select {
+		case <-deleted:
+			return true
+		default:
+			return false
+		}
+	}
 	// Reader: the snapshot view must not move while writers run.
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 20 || !writerDeleted(); i++ {
 		var got []Row
 		if err := snap.Scan(func(r Row) bool { got = append(got, r); return true }); err != nil {
 			t.Fatalf("snapshot scan %d: %v", i, err)
@@ -582,8 +599,8 @@ func TestCrashMatrixManifestTruncation(t *testing.T) {
 			t.Fatalf("cut %d: open failed: %v", cut, err)
 		}
 		torn := cut < len(manifest)
-		if db.RecoveredWithLoss() != torn {
-			t.Fatalf("cut %d: RecoveredWithLoss = %v, want %v", cut, db.RecoveredWithLoss(), torn)
+		if db.Health().RecoveredWithLoss != torn {
+			t.Fatalf("cut %d: RecoveredWithLoss = %v, want %v", cut, db.Health().RecoveredWithLoss, torn)
 		}
 		tbl, err := db.Table("extracted")
 		if err != nil {
@@ -653,7 +670,7 @@ func TestTornSegmentFallsBackToWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if !db.RecoveredWithLoss() {
+	if !db.Health().RecoveredWithLoss {
 		t.Fatal("corrupt segment did not report loss")
 	}
 	tbl, err = db.Table("extracted")
@@ -735,7 +752,7 @@ func TestSegmentErrorsLeakNoFDs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fallback open failed: %v", err)
 		}
-		if !db.RecoveredWithLoss() {
+		if !db.Health().RecoveredWithLoss {
 			t.Fatal("corrupt segment not reported")
 		}
 		db.Close()

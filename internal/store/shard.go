@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -52,7 +53,7 @@ type Shard struct {
 // openShard opens (creating if necessary) one shard's WAL and segment
 // directory, then replays the WAL over the segment state. A torn
 // manifest or unreadable segment falls back to WAL-only recovery
-// (reported via RecoveredWithLoss); on replay failure the log handle
+// (reported via Health().RecoveredWithLoss); on replay failure the log handle
 // and every opened segment are closed before returning, so an engine
 // that fails mid-open leaks no descriptors.
 func openShard(id int, path string, cache *blockCache) (*Shard, error) {
@@ -407,4 +408,26 @@ func shardIndex(key []byte, n int) int {
 		h *= prime64
 	}
 	return int(h % uint64(n))
+}
+
+// fanOut runs fn(i) for every shard index i in [0, n) — concurrently,
+// one goroutine per shard, when there are several, inline when there is
+// one — and joins their errors. Every cross-shard operation (open,
+// query, batch apply, lookups, compaction, snapshot collection) fans out
+// through it.
+func fanOut(n int, fn func(i int) error) error {
+	if n == 1 {
+		return fn(0)
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }

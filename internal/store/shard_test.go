@@ -58,7 +58,7 @@ func TestSingleShardByteCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.RecoveredWithLoss() {
+	if db.Health().RecoveredWithLoss {
 		t.Error("pre-refactor WAL reported recovery loss")
 	}
 	if db.Shards() != 1 {
@@ -288,7 +288,7 @@ func TestShardedReopen(t *testing.T) {
 	if db.Shards() != 3 {
 		t.Errorf("auto-detected %d shards, want 3", db.Shards())
 	}
-	if db.RecoveredWithLoss() {
+	if db.Health().RecoveredWithLoss {
 		t.Error("clean reopen reported loss")
 	}
 	tbl, err = db.Table("extracted")
@@ -357,7 +357,7 @@ func TestShardedCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if db.RecoveredWithLoss() {
+	if db.Health().RecoveredWithLoss {
 		t.Error("compacted logs reported loss")
 	}
 	tbl, err = db.Table("extracted")

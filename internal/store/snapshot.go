@@ -117,63 +117,39 @@ func (s *Snapshot) Seq() uint64 {
 	return max
 }
 
-// readStats accumulates read-path observability: segment/zone-map
-// accounting during iteration plus the acceleration counters (bloom
-// rejects and block-cache hits/misses) threaded through every segment
-// read. A nil *readStats is accepted everywhere and means "don't
-// count".
-type readStats struct {
-	segments     int // segment files consulted
-	blocksPruned int // blocks skipped via zone maps
-	bloomSkips   int // segment probes rejected by a bloom filter
-	cacheHits    int // blocks served from the decoded-block cache
-	cacheMisses  int // blocks that paid disk + CRC + decode
-}
-
 // Scan streams every live row in ascending primary-key order without
 // holding any lock. fn returning false stops early. It returns any
 // segment read error (a memtable-only snapshot cannot fail).
 func (s *Snapshot) Scan(fn func(Row) bool) error {
-	return s.scan(nil, nil, nil, fn)
+	return s.scan(nil, nil, fn)
 }
 
 // ScanRange streams live rows with primary key in [lo, hi).
 func (s *Snapshot) ScanRange(lo, hi Value, fn func(Row) bool) error {
-	return s.scan(encodeKey(lo), encodeKey(hi), nil, fn)
+	return s.scan(encodeKey(lo), encodeKey(hi), fn)
 }
 
 // scan merges the per-shard snapshots into global key order: each
 // shard's merged stream is itself merged k-way across shards (shards
 // partition the key space by hash, so cross-shard order still needs
 // the comparison; within a shard, newest-wins resolves duplicates).
-func (s *Snapshot) scan(lo, hi []byte, stats *readStats, fn func(Row) bool) error {
+func (s *Snapshot) scan(lo, hi []byte, fn func(Row) bool) error {
 	if len(s.shards) == 1 {
-		return s.shards[0].iterate(lo, hi, stats, fn)
+		return s.shards[0].iterate(lo, hi, nil, fn)
 	}
 	// Fan the per-shard merges out into sorted row slices, then k-way
-	// merge (the same shape the pre-segment fan-out used). Iteration
-	// here is lock-free already, so collecting per shard keeps the
-	// cross-shard merge allocation-lean without re-implementing a
-	// concurrent heap.
+	// merge. Iteration here is lock-free already, so collecting per
+	// shard keeps the cross-shard merge allocation-lean without
+	// re-implementing a concurrent heap.
 	parts := make([][]Row, len(s.shards))
-	errs := make([]error, len(s.shards))
-	done := make(chan int, len(s.shards))
-	for i := range s.shards {
-		go func(i int) {
-			errs[i] = s.shards[i].iterate(lo, hi, stats, func(r Row) bool {
-				parts[i] = append(parts[i], r)
-				return true
-			})
-			done <- i
-		}(i)
-	}
-	for range s.shards {
-		<-done
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	err := fanOut(len(s.shards), func(i int) error {
+		return s.shards[i].iterate(lo, hi, nil, func(r Row) bool {
+			parts[i] = append(parts[i], r)
+			return true
+		})
+	})
+	if err != nil {
+		return err
 	}
 	for _, row := range kwayMerge(parts, s.table.lessByPK()) {
 		if !fn(row) {
@@ -186,7 +162,7 @@ func (s *Snapshot) scan(lo, hi []byte, stats *readStats, fn func(Row) bool) erro
 // iterate merges one shard's memtable capture with its segment
 // iterators, newest wins on duplicate keys, tombstones suppressing
 // older versions. stats may be nil.
-func (ss *shardSnap) iterate(lo, hi []byte, stats *readStats, fn func(Row) bool) error {
+func (ss *shardSnap) iterate(lo, hi []byte, stats *ReadCounters, fn func(Row) bool) error {
 	// Source 0 is the memtable capture (highest precedence); sources
 	// 1..n are segments newest → oldest.
 	mem := ss.mem
@@ -198,14 +174,14 @@ func (ss *shardSnap) iterate(lo, hi []byte, stats *readStats, fn func(Row) bool)
 	for i := len(ss.segs) - 1; i >= 0; i-- {
 		sg := ss.segs[i]
 		if stats != nil {
-			stats.segments++
+			stats.Segments++
 		}
 		iters = append(iters, newSegIter(sg, lo, hi, stats))
 	}
 	defer func() {
 		if stats != nil {
 			for _, it := range iters {
-				stats.blocksPruned += it.pruned
+				stats.BlocksPruned += it.pruned
 			}
 		}
 	}()

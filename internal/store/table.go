@@ -99,7 +99,7 @@ func (t *Table) shardFor(key []byte) *tableShard {
 
 // segGet searches the shard's segments newest-first for key. rs (may
 // be nil) accumulates bloom/cache accounting.
-func (ts *tableShard) segGet(key []byte, rs *readStats) (Row, bool, error) {
+func (ts *tableShard) segGet(key []byte, rs *ReadCounters) (Row, bool, error) {
 	for i := len(ts.segs) - 1; i >= 0; i-- {
 		row, ok, err := ts.segs[i].get(key, rs)
 		if err != nil {
@@ -285,23 +285,12 @@ func (t *Table) InsertBatch(rows []Row) error {
 	defer unlock()
 
 	// Phase 2: log and apply per shard, in parallel when partitioned.
-	if n == 1 {
-		return t.shards[0].logApplyBatch(groups[0], keys[0])
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for si := range groups {
+	return fanOut(n, func(si int) error {
 		if len(groups[si]) == 0 {
-			continue
+			return nil
 		}
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			errs[si] = t.shards[si].logApplyBatch(groups[si], keys[si])
-		}(si)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+		return t.shards[si].logApplyBatch(groups[si], keys[si])
+	})
 }
 
 // logApplyBatch writes one batch record to the shard's WAL and applies
@@ -500,7 +489,7 @@ func (pl *postingList) find(pk string) (int, bool) {
 // block shared by many entries is read and decoded once per query
 // instead of once per row. Callers hold at least the shard's read
 // lock. rs may be nil.
-func (ts *tableShard) resolveAll(entries []postingEntry, rs *readStats) ([]Row, error) {
+func (ts *tableShard) resolveAll(entries []postingEntry, rs *ReadCounters) ([]Row, error) {
 	out := make([]Row, len(entries))
 	var missing []int
 	for i, e := range entries {
@@ -525,7 +514,7 @@ func (ts *tableShard) resolveAll(entries []postingEntry, rs *readStats) ([]Row, 
 
 // appendResolved appends the posting rows (already pk-sorted) to out,
 // resolving by-reference entries from the segments.
-func (ts *tableShard) appendResolved(pl *postingList, out []Row, rs *readStats) ([]Row, error) {
+func (ts *tableShard) appendResolved(pl *postingList, out []Row, rs *ReadCounters) ([]Row, error) {
 	rows, err := ts.resolveAll(pl.entries, rs)
 	if err != nil {
 		return out, err
@@ -567,21 +556,12 @@ func indexRemove(idx *btree, sk, pk []byte) {
 // have an index. With multiple shards the per-shard posting lists are
 // fanned out and merged by primary key.
 func (t *Table) Lookup(col string, v Value) ([]Row, error) {
-	if len(t.shards) == 1 {
-		return t.shards[0].lookup(col, v)
-	}
 	parts := make([][]Row, len(t.shards))
-	errs := make([]error, len(t.shards))
-	var wg sync.WaitGroup
-	for i, ts := range t.shards {
-		wg.Add(1)
-		go func(i int, ts *tableShard) {
-			defer wg.Done()
-			parts[i], errs[i] = ts.lookup(col, v)
-		}(i, ts)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	err := fanOut(len(t.shards), func(i int) (err error) {
+		parts[i], err = t.shards[i].lookup(col, v)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return kwayMerge(parts, t.lessByPK()), nil
@@ -605,8 +585,12 @@ func (ts *tableShard) lookup(col string, v Value) ([]Row, error) {
 // kwayMerge merges per-shard result slices that are each already
 // sorted by less into one sorted slice. Each output row costs at most
 // shards-1 comparisons and the merge allocates only the output, so the
-// fan-out read paths stay close to the single-shard cost.
+// fan-out read paths stay close to the single-shard cost; a single
+// part is returned as is.
 func kwayMerge(parts [][]Row, less func(a, b Row) bool) []Row {
+	if len(parts) == 1 {
+		return parts[0]
+	}
 	total := 0
 	for _, p := range parts {
 		total += len(p)
@@ -672,7 +656,7 @@ func (t *Table) ScanRange(lo, hi Value, fn func(Row) bool) {
 	lok, hik := encodeKey(lo), encodeKey(hi)
 	snap := t.snapshotRange(lok, hik)
 	defer snap.Release()
-	_ = snap.scan(lok, hik, nil, fn)
+	_ = snap.scan(lok, hik, fn)
 }
 
 // Select returns all rows matching a predicate, by full scan.

@@ -1,10 +1,6 @@
 package store
 
-import (
-	"bytes"
-	"errors"
-	"sync"
-)
+import "bytes"
 
 // Update replaces the row with the given primary key. The new row must
 // carry the same primary key; secondary indexes are maintained. The
@@ -70,21 +66,12 @@ func (t *Table) Upsert(row Row) error {
 // secondary index. With multiple shards the per-shard walks fan out and
 // the sorted partial results merge.
 func (t *Table) LookupRange(col string, lo, hi Value) ([]Row, error) {
-	if len(t.shards) == 1 {
-		return t.shards[0].lookupRange(col, lo, hi)
-	}
 	parts := make([][]Row, len(t.shards))
-	errs := make([]error, len(t.shards))
-	var wg sync.WaitGroup
-	for i, ts := range t.shards {
-		wg.Add(1)
-		go func(i int, ts *tableShard) {
-			defer wg.Done()
-			parts[i], errs[i] = ts.lookupRange(col, lo, hi)
-		}(i, ts)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	err := fanOut(len(t.shards), func(i int) (err error) {
+		parts[i], err = t.shards[i].lookupRange(col, lo, hi)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return kwayMerge(parts, t.lessByColPK(t.schema.colIndex(col))), nil

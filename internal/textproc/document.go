@@ -101,12 +101,3 @@ func (d *Document) Section(header string) (*DocSection, bool) {
 	}
 	return nil, false
 }
-
-// SentencesOf returns the analyzed sentences of the named section, or nil
-// when the record has no such section.
-func (d *Document) SentencesOf(header string) []Sentence {
-	if sec, ok := d.Section(header); ok {
-		return sec.Sentences()
-	}
-	return nil
-}

@@ -44,7 +44,7 @@ func TestAnalyzeIsOnePassPerSection(t *testing.T) {
 		t.Errorf("Analyze ran %d tokenize passes, want 0 (sections are lazy)", got)
 	}
 	// First access tokenizes the section body once; repeated access — and
-	// repeated access through SentencesOf — reuses the memoized result.
+	// repeated access through Section — reuses the memoized result.
 	for _, sec := range doc.Sections {
 		sec.Sentences()
 	}
@@ -54,7 +54,9 @@ func TestAnalyzeIsOnePassPerSection(t *testing.T) {
 	}
 	for _, sec := range doc.Sections {
 		sec.Sentences()
-		doc.SentencesOf(sec.Header)
+		if s, ok := doc.Section(sec.Header); ok {
+			s.Sentences()
+		}
 	}
 	s3, t3 := AnalysisCounts()
 	if t3 != t2 || s3 != s1 {
@@ -74,11 +76,8 @@ func TestDocumentSectionLookup(t *testing.T) {
 	if _, ok := doc.Section("Allergies"); ok {
 		t.Error("found a section the record does not contain")
 	}
-	if got := doc.SentencesOf("Vitals"); len(got) == 0 {
-		t.Error("SentencesOf(Vitals) empty")
-	}
-	if got := doc.SentencesOf("Allergies"); got != nil {
-		t.Errorf("SentencesOf(Allergies) = %v, want nil", got)
+	if vitals, ok := doc.Section("Vitals"); !ok || len(vitals.Sentences()) == 0 {
+		t.Error("Vitals has no analyzed sentences")
 	}
 }
 

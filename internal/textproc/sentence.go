@@ -104,27 +104,3 @@ func hasBlankLineBetween(text string, a, b int) bool {
 	}
 	return strings.Contains(text[a:b], "\n")
 }
-
-// WordTexts returns the lower-cased text of every Word token in the
-// sentence, in order. It is a convenience for feature extraction.
-func (s Sentence) WordTexts() []string {
-	var ws []string
-	for _, t := range s.Tokens {
-		if t.Kind == Word {
-			ws = append(ws, t.Lower())
-		}
-	}
-	return ws
-}
-
-// ContainsWord reports whether the sentence contains the given word,
-// compared case-insensitively.
-func (s Sentence) ContainsWord(w string) bool {
-	w = strings.ToLower(w)
-	for _, t := range s.Tokens {
-		if t.Kind == Word && t.Lower() == w {
-			return true
-		}
-	}
-	return false
-}
