@@ -17,12 +17,12 @@ func TestParseStrategy(t *testing.T) {
 		"proximity-only": core.ProximityOnly,
 	}
 	for name, want := range cases {
-		got, err := parseStrategy(name)
-		if err != nil || got != want {
-			t.Errorf("parseStrategy(%q) = %v, %v", name, got, err)
+		got, err := core.ParseStrategy(name)
+		if err != nil || got != want || got.String() != name {
+			t.Errorf("ParseStrategy(%q) = %v, %v", name, got, err)
 		}
 	}
-	if _, err := parseStrategy("bogus"); err == nil {
+	if _, err := core.ParseStrategy("bogus"); err == nil {
 		t.Error("bogus strategy accepted")
 	}
 }

@@ -174,9 +174,12 @@ func verifyAcked(t *testing.T, dbPath string, acked []int64) {
 		t.Fatalf("scan saw %d rows, table reports %d", scanned, tbl.Len())
 	}
 	for _, pid := range acked {
-		rows, err := tbl.Lookup("patient", store.Int(pid))
+		rows, st, err := tbl.Query(store.Query{Preds: []store.Pred{store.Eq("patient", store.Int(pid))}})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !st.UsedIndex {
+			t.Fatalf("patient query did not use the patient index: %+v", st)
 		}
 		if len(rows) == 0 {
 			t.Fatalf("patient index lost acknowledged patient %d (table has the row)", pid)

@@ -356,15 +356,16 @@ func healthFrom(h store.Health) healthJSON {
 }
 
 // handleStats is the monitoring endpoint: engine health, table,
-// ingest and background-compaction counters, log size.
+// ingest, background-compaction and block-cache counters, log size.
+// Each number comes from its one accessor; the ingest, compaction and
+// cache structs carry their own JSON keys.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	tbl, err := s.db.Table(core.ResultTable)
 	var tstats store.Stats
 	if err == nil {
 		tstats = tbl.Stats()
 	}
-	ist := s.ing.Stats()
-	cst := s.db.CompactionStats()
+	health := s.db.Health()
 	classifier := map[string]any{"backend": s.cfg.Backend, "trained": false}
 	if s.sys.Smoking != nil {
 		classifier["backend"] = s.sys.Smoking.Backend()
@@ -374,40 +375,18 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"uptime":     time.Since(s.started).Round(time.Millisecond).String(),
 		"draining":   s.draining.Load(),
 		"classifier": classifier,
-		"health":     healthFrom(s.db.Health()),
+		"health":     healthFrom(health),
 		"shards":     s.db.Shards(),
 		"logBytes":   s.db.LogSize(),
 		"table": map[string]any{
 			"rows":         tstats.Rows,
 			"segments":     tstats.Segments,
-			"failedShards": tstats.FailedShards,
+			"failedShards": len(health.FailedShards),
 			"indexes":      tstats.IndexNames,
 		},
-		"ingest": map[string]any{
-			"batches":   ist.Batches,
-			"rows":      ist.Rows,
-			"groups":    ist.Groups,
-			"rejected":  ist.Rejected,
-			"queued":    ist.Queued,
-			"peakQueue": ist.PeakQueue,
-		},
-		"compaction": map[string]any{
-			"minorRuns":      cst.MinorRuns,
-			"majorRuns":      cst.MajorRuns,
-			"rowsRewritten":  cst.RowsRewritten,
-			"bytesRewritten": cst.BytesRewritten,
-			"backlog":        cst.Backlog,
-			"lastError":      cst.LastError,
-		},
-		"cache": map[string]any{
-			"capBytes":   tstats.Cache.CapBytes,
-			"bytes":      tstats.Cache.Bytes,
-			"entries":    tstats.Cache.Entries,
-			"hits":       tstats.Cache.Hits,
-			"misses":     tstats.Cache.Misses,
-			"evictions":  tstats.Cache.Evictions,
-			"bloomSkips": tstats.Cache.BloomSkips,
-		},
+		"ingest":     s.ing.Stats(),
+		"compaction": s.db.CompactionStats(),
+		"cache":      s.db.BlockCacheStats(),
 	})
 }
 

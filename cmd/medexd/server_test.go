@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -356,6 +357,10 @@ func TestDegradedReadOnlyMode(t *testing.T) {
 	if st["health"].(map[string]any)["readOnly"] != true {
 		t.Fatalf("stats health %v, want readOnly=true", st["health"])
 	}
+	// The table's failed-shard count is read from Engine.Health too.
+	if st["table"].(map[string]any)["failedShards"] != float64(1) {
+		t.Fatalf("stats table %v, want failedShards=1", st["table"])
+	}
 }
 
 // TestDrainingRejectsNewWork: once the drain begins, ingest and
@@ -470,4 +475,104 @@ func TestAskReportsSegmentCounters(t *testing.T) {
 			t.Errorf("%s over a compacted store consulted %v segments, want >= 1", name, stats["segments"])
 		}
 	}
+}
+
+// TestQueryRejectsNaNBound: strconv.ParseFloat accepts "NaN", and a NaN
+// bound matches nothing or everything; the daemon answers 400 instead.
+func TestQueryRejectsNaNBound(t *testing.T) {
+	_, ts := newTestServer(t, testConfig(), store.OpenMemorySharded(2))
+	if resp, body := postIngest(t, ts.URL, ndjsonPatients(1, 2, 3)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest = %d (%v)", resp.StatusCode, body)
+	}
+	for _, q := range []string{"min=NaN", "max=NaN", "min=nan&rows=true"} {
+		body := getJSON(t, ts.URL+"/v1/query?attr=pulse&"+q, http.StatusBadRequest)
+		if msg, _ := body["error"].(string); !strings.Contains(msg, "malformed query predicate") {
+			t.Errorf("%s: error %q does not name the bad predicate", q, msg)
+		}
+	}
+}
+
+// TestStatsKeyTree pins the full key tree of /v1/stats — every key path
+// with its JSON type — so a change to how the daemon gathers the engine,
+// ingest, compaction and cache numbers cannot drop, rename or retype a
+// key that monitoring reads.
+func TestStatsKeyTree(t *testing.T) {
+	db, err := store.OpenSharded(filepath.Join(t.TempDir(), "wh.db"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, testConfig(), db)
+	if resp, body := postIngest(t, ts.URL, ndjsonPatients(1, 2)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest = %d (%v)", resp.StatusCode, body)
+	}
+	got := keyTree("", getJSON(t, ts.URL+"/v1/stats", http.StatusOK))
+	want := []string{
+		"cache:object",
+		"cache.bloomSkips:number",
+		"cache.bytes:number",
+		"cache.capBytes:number",
+		"cache.entries:number",
+		"cache.evictions:number",
+		"cache.hits:number",
+		"cache.misses:number",
+		"classifier:object",
+		"classifier.backend:string",
+		"classifier.trained:bool",
+		"compaction:object",
+		"compaction.backlog:number",
+		"compaction.bytesRewritten:number",
+		"compaction.lastError:string",
+		"compaction.majorRuns:number",
+		"compaction.minorRuns:number",
+		"compaction.rowsRewritten:number",
+		"draining:bool",
+		"health:object",
+		"health.readOnly:bool",
+		"health.recoveredWithLoss:bool",
+		"health.status:string",
+		"ingest:object",
+		"ingest.batches:number",
+		"ingest.groups:number",
+		"ingest.peakQueue:number",
+		"ingest.queued:number",
+		"ingest.rejected:number",
+		"ingest.rows:number",
+		"logBytes:number",
+		"shards:number",
+		"table:object",
+		"table.failedShards:number",
+		"table.indexes:array",
+		"table.rows:number",
+		"table.segments:number",
+		"uptime:string",
+	}
+	sort.Strings(want)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("/v1/stats key tree:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// keyTree flattens a decoded JSON object into sorted "path:type" lines.
+func keyTree(prefix string, obj map[string]any) []string {
+	var out []string
+	for k, v := range obj {
+		path := prefix + k
+		switch v := v.(type) {
+		case map[string]any:
+			out = append(out, path+":object")
+			out = append(out, keyTree(path+".", v)...)
+		case []any:
+			out = append(out, path+":array")
+		case string:
+			out = append(out, path+":string")
+		case float64:
+			out = append(out, path+":number")
+		case bool:
+			out = append(out, path+":bool")
+		default:
+			out = append(out, path+":null")
+		}
+	}
+	sort.Strings(out)
+	return out
 }

@@ -50,12 +50,12 @@ func (c IngestConfig) withDefaults() IngestConfig {
 
 // IngestStats is a point-in-time snapshot of an Ingester's counters.
 type IngestStats struct {
-	Batches   int64 // batches acknowledged (persist attempted, ack sent)
-	Rows      int64 // attribute rows written by acknowledged batches
-	Groups    int64 // group commits (one fsync each unless NoSync)
-	Rejected  int64 // Submit calls refused with ErrBackpressure
-	Queued    int   // batches currently waiting in the queue
-	PeakQueue int64 // high-water mark of Queued since start
+	Batches   int64 `json:"batches"`   // batches acknowledged (persist attempted, ack sent)
+	Rows      int64 `json:"rows"`      // attribute rows written by acknowledged batches
+	Groups    int64 `json:"groups"`    // group commits (one fsync each unless NoSync)
+	Rejected  int64 `json:"rejected"`  // Submit calls refused with ErrBackpressure
+	Queued    int   `json:"queued"`    // batches currently waiting in the queue
+	PeakQueue int64 `json:"peakQueue"` // high-water mark of Queued since start
 }
 
 // Ingester serializes extraction batches into a store.Engine through a

@@ -234,7 +234,7 @@ func (w *Warehouse) Rows(c Cond) ([]AttrRow, QueryStats, error) {
 // Patient returns every attribute row of one patient via the patient
 // index, sorted by attribute then id.
 func (w *Warehouse) Patient(id int64) ([]AttrRow, error) {
-	rows, err := w.tbl.Lookup("patient", store.Int(id))
+	rows, _, err := w.tbl.Query(store.Query{Preds: []store.Pred{store.Eq("patient", store.Int(id))}})
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -132,6 +134,60 @@ func TestWarehousePatientAndPrevalence(t *testing.T) {
 	}
 }
 
+// TestWarehousePatientShardedCompacted: on a 4-shard store whose rows
+// live partly in compacted segments and partly in the memtable,
+// Patient returns exactly the patient's rows, sorted by (attribute, id)
+// — checked against a full scan.
+func TestWarehousePatientShardedCompacted(t *testing.T) {
+	db, err := store.OpenSharded(filepath.Join(t.TempDir(), "wh.db"), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := PersistAll(db, syntheticExtractions(30)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	// A second chart for patients 1..10 lands in the memtable.
+	if _, err := PersistAll(db, syntheticExtractions(10)); err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenWarehouse(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Table().Stats(); st.Segments == 0 {
+		t.Fatalf("no segments after Compact: %+v", st)
+	}
+	want := make(map[int64][]AttrRow)
+	w.Table().Scan(func(r store.Row) bool {
+		a := attrRowFrom(r)
+		want[a.Patient] = append(want[a.Patient], a)
+		return true
+	})
+	for p := int64(1); p <= 31; p++ {
+		exp := want[p]
+		slices.SortFunc(exp, func(a, b AttrRow) int {
+			if c := strings.Compare(a.Attribute, b.Attribute); c != 0 {
+				return c
+			}
+			return int(a.ID - b.ID)
+		})
+		got, err := w.Patient(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, exp) {
+			t.Errorf("Patient(%d) = %+v, want %+v", p, got, exp)
+		}
+	}
+	if got, _ := w.Patient(1); len(got) != 4 {
+		t.Errorf("patient 1 spans segment and memtable: %d rows, want 4", len(got))
+	}
+}
+
 // TestWarehouseConcurrentWithIngest pins the concurrent-reader path:
 // warehouse queries overlap a live ProcessStream ingest, race-cleanly
 // (run under -race in CI) and with the indexes consistent at the end.
@@ -206,7 +262,13 @@ func TestWarehouseConcurrentWithIngest(t *testing.T) {
 	if err != nil || stats.FullScans != 0 {
 		t.Fatalf("indexed read failed: %+v err %v", stats, err)
 	}
-	scan := w.Table().Select(func(r store.Row) bool { return r[2].S == "pulse" })
+	var scan []store.Row
+	w.Table().Scan(func(r store.Row) bool {
+		if r[2].S == "pulse" {
+			scan = append(scan, r)
+		}
+		return true
+	})
 	if len(rows) != len(scan) {
 		t.Errorf("index answered %d rows, scan %d", len(rows), len(scan))
 	}

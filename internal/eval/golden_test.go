@@ -48,7 +48,6 @@ func TestGoldenE1Numeric(t *testing.T) {
 
 func TestGoldenE2Terms(t *testing.T) {
 	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
 	res := RunE2(goldenCorpus(), ont, false)
 	cases := []struct {
 		name                 string

@@ -101,18 +101,11 @@ type parser struct {
 
 // memoEnt is one memoized feasibility answer for a region (L, R): the
 // remaining connector-list IDs of the boundary words and the result. The
-// region's entries live in a small bucket scanned linearly — the dense
-// (L,R)-indexed replacement for the old map[memoKey]bool.
+// region's entries live in a small bucket scanned linearly, indexed
+// densely by (L, R).
 type memoEnt struct {
 	le, re int32
 	val    bool
-}
-
-// memoKey keys the linkage-counting memo (count.go), which keeps a map:
-// counting is a diagnostic path, not the extraction hot path.
-type memoKey struct {
-	l, r   int16
-	le, re int32
 }
 
 var parserPool = sync.Pool{New: func() any { return new(parser) }}

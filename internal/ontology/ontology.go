@@ -64,10 +64,6 @@ func MustNew(opts Options) *Ontology {
 	return o
 }
 
-// Close does nothing: the ontology holds no resources. The golden tests
-// still call it.
-func (o *Ontology) Close() error { return nil }
-
 // Len returns the number of loaded concepts.
 func (o *Ontology) Len() int { return len(o.concepts) }
 

@@ -150,13 +150,13 @@ func (c *blockCache) segEntries(seg uint64) int {
 // BloomSkips counts segment probes rejected by a bloom filter — reads
 // that cost no IO at all.
 type CacheStats struct {
-	CapBytes   int64
-	Bytes      int64
-	Entries    int
-	Hits       int64
-	Misses     int64
-	Evictions  int64
-	BloomSkips int64
+	CapBytes   int64 `json:"capBytes"`
+	Bytes      int64 `json:"bytes"`
+	Entries    int   `json:"entries"`
+	Hits       int64 `json:"hits"`
+	Misses     int64 `json:"misses"`
+	Evictions  int64 `json:"evictions"`
+	BloomSkips int64 `json:"bloomSkips"`
 }
 
 // stats snapshots the counters; safe on a nil cache (all zeros).

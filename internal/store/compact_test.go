@@ -130,8 +130,8 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 					t.Errorf("Get: %v", err)
 					return
 				}
-				if _, err := tbl.Lookup("norm", Str("n")); err != nil {
-					t.Errorf("Lookup: %v", err)
+				if _, _, err := tbl.Query(Query{Preds: []Pred{Eq("norm", Str("n"))}}); err != nil {
+					t.Errorf("indexed query: %v", err)
 					return
 				}
 			}

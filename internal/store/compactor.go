@@ -56,12 +56,12 @@ func (p CompactionPolicy) withDefaults() CompactionPolicy {
 
 // CompactionStats aggregates compaction activity for monitoring.
 type CompactionStats struct {
-	MinorRuns      int64 // memtable-only folds completed
-	MajorRuns      int64 // full table merges completed
-	RowsRewritten  int64 // rows written into new segment files
-	BytesRewritten int64 // bytes of new segment files
-	Backlog        int64 // rows logged since each shard's last compaction
-	LastError      string
+	MinorRuns      int64  `json:"minorRuns"`      // memtable-only folds completed
+	MajorRuns      int64  `json:"majorRuns"`      // full table merges completed
+	RowsRewritten  int64  `json:"rowsRewritten"`  // rows written into new segment files
+	BytesRewritten int64  `json:"bytesRewritten"` // bytes of new segment files
+	Backlog        int64  `json:"backlog"`        // rows logged since each shard's last compaction
+	LastError      string `json:"lastError"`
 }
 
 // compactionCounters is one shard's compaction telemetry; atomics so
@@ -99,20 +99,16 @@ func (c *compactionCounters) lastError() string {
 func (db *DB) CompactionStats() CompactionStats {
 	var cs CompactionStats
 	for _, sh := range db.shards {
-		addShardCompactionStats(&cs, sh)
+		cs.MinorRuns += sh.cstats.minor.Load()
+		cs.MajorRuns += sh.cstats.major.Load()
+		cs.RowsRewritten += sh.cstats.rows.Load()
+		cs.BytesRewritten += sh.cstats.bytes.Load()
+		cs.Backlog += sh.pending.Load()
+		if e := sh.cstats.lastError(); e != "" && cs.LastError == "" {
+			cs.LastError = e
+		}
 	}
 	return cs
-}
-
-func addShardCompactionStats(cs *CompactionStats, sh *Shard) {
-	cs.MinorRuns += sh.cstats.minor.Load()
-	cs.MajorRuns += sh.cstats.major.Load()
-	cs.RowsRewritten += sh.cstats.rows.Load()
-	cs.BytesRewritten += sh.cstats.bytes.Load()
-	cs.Backlog += sh.pending.Load()
-	if e := sh.cstats.lastError(); e != "" && cs.LastError == "" {
-		cs.LastError = e
-	}
 }
 
 // startCompactors launches one compactor goroutine per durable shard.

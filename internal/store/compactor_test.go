@@ -94,14 +94,11 @@ func TestMinorCompactionRewritesOnlyMemtable(t *testing.T) {
 	if st.Segments != 2 {
 		t.Fatalf("segments after minor = %d, want 2", st.Segments)
 	}
-	if st.Compaction.MinorRuns != 1 {
-		t.Fatalf("Table.Stats did not surface compaction counters: %+v", st.Compaction)
-	}
 	if tbl.Len() != corpus+n {
 		t.Fatalf("Len = %d", tbl.Len())
 	}
-	if got, err := tbl.Lookup("norm", Str("fresh")); err != nil || len(got) != n {
-		t.Fatalf("index over minor-compacted rows: %d rows, err %v", len(got), err)
+	if got := indexEq(t, tbl, "norm", Str("fresh")); len(got) != n {
+		t.Fatalf("index over minor-compacted rows: %d rows", len(got))
 	}
 	// Writes keep flowing after the swap.
 	if err := tbl.Insert(Row{Int(9000), Str("post"), Str("p"), Float(0), Bool(true)}); err != nil {
@@ -132,8 +129,8 @@ func TestMinorCompactionRewritesOnlyMemtable(t *testing.T) {
 			t.Errorf("row %d lost across minor compaction + reopen: %v", id, err)
 		}
 	}
-	if got, err := tbl2.Lookup("norm", Str("fresh")); err != nil || len(got) != n {
-		t.Fatalf("recovered index: %d rows, err %v", len(got), err)
+	if got := indexEq(t, tbl2, "norm", Str("fresh")); len(got) != n {
+		t.Fatalf("recovered index: %d rows", len(got))
 	}
 }
 
@@ -347,8 +344,8 @@ func TestBackgroundCompactionUnderLoad(t *testing.T) {
 				default:
 				}
 				tbl.Get(Int(int64(i % (writers * perWriter))))
-				if _, err := tbl.Lookup("norm", Str("n2")); err != nil {
-					t.Errorf("Lookup under load: %v", err)
+				if _, _, err := tbl.Query(Query{Preds: []Pred{Eq("norm", Str("n2"))}}); err != nil {
+					t.Errorf("indexed query under load: %v", err)
 					return
 				}
 				tbl.Len()
@@ -433,8 +430,8 @@ func TestBackgroundCompactionUnderLoad(t *testing.T) {
 		}
 		return true
 	})
-	if got, err := tbl2.Lookup("norm", Str("n2")); err != nil || len(got) != want {
-		t.Fatalf("recovered index: %d rows, want %d (err %v)", len(got), want, err)
+	if got := indexEq(t, tbl2, "norm", Str("n2")); len(got) != want {
+		t.Fatalf("recovered index: %d rows, want %d", len(got), want)
 	}
 }
 

@@ -132,25 +132,23 @@ func TestSecondaryIndex(t *testing.T) {
 	if err := tbl.CreateIndex("norm"); err != nil {
 		t.Fatal(err)
 	}
-	odd, err := tbl.Lookup("norm", Str("odd"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	odd := indexEq(t, tbl, "norm", Str("odd"))
 	if len(odd) != 25 {
 		t.Fatalf("odd rows = %d, want 25", len(odd))
 	}
 	// Deterministic ascending-pk order.
 	for i := 1; i < len(odd); i++ {
 		if odd[i-1][0].I >= odd[i][0].I {
-			t.Fatal("Lookup results not ordered by pk")
+			t.Fatal("index results not ordered by pk")
 		}
 	}
-	none, err := tbl.Lookup("norm", Str("missing"))
-	if err != nil || none != nil {
-		t.Errorf("missing lookup = %v, %v", none, err)
+	if none := indexEq(t, tbl, "norm", Str("missing")); none != nil {
+		t.Errorf("missing value matched %v", none)
 	}
-	if _, err := tbl.Lookup("preferred", Str("x")); err == nil {
-		t.Error("lookup without index must fail")
+	// An equality on an unindexed column is answered by a scan.
+	if rows, st, err := tbl.Query(Query{Preds: []Pred{Eq("preferred", Str("p"))}}); err != nil ||
+		len(rows) != 50 || st.UsedIndex || !st.FullScan {
+		t.Errorf("unindexed equality: %d rows, %+v, %v; want 50 by scan", len(rows), st, err)
 	}
 	if err := tbl.CreateIndex("nope"); err == nil {
 		t.Error("index on missing column accepted")
@@ -159,8 +157,7 @@ func TestSecondaryIndex(t *testing.T) {
 	if err := tbl.Delete(Int(1)); err != nil {
 		t.Fatal(err)
 	}
-	odd, _ = tbl.Lookup("norm", Str("odd"))
-	if len(odd) != 24 {
+	if odd = indexEq(t, tbl, "norm", Str("odd")); len(odd) != 24 {
 		t.Fatalf("after delete odd rows = %d, want 24", len(odd))
 	}
 }
@@ -298,14 +295,15 @@ func TestScanAndSelect(t *testing.T) {
 	if seen != 30 {
 		t.Fatalf("Scan visited %d", seen)
 	}
-	active := tbl.Select(func(r Row) bool { return r[4].B })
-	if len(active) != 10 {
-		t.Fatalf("Select = %d rows", len(active))
+	active, _, err := tbl.Query(Query{Preds: []Pred{Eq("active", Bool(true))}})
+	if err != nil || len(active) != 10 {
+		t.Fatalf("active = %d rows, %v", len(active), err)
 	}
-	var ranged int
-	tbl.ScanRange(Int(5), Int(15), func(r Row) bool { ranged++; return true })
-	if ranged != 10 {
-		t.Fatalf("ScanRange = %d rows, want 10", ranged)
+	// Bounds on the primary key narrow the scan itself: only the rows
+	// inside [5, 15) are examined.
+	ranged, st, err := tbl.Query(Query{Preds: []Pred{Ge("id", Int(5)), Lt("id", Int(15))}})
+	if err != nil || len(ranged) != 10 || st.RowsExamined != 10 {
+		t.Fatalf("pk range = %d rows (%d examined), %v; want 10/10", len(ranged), st.RowsExamined, err)
 	}
 }
 

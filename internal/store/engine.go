@@ -20,22 +20,17 @@ type Engine interface {
 	CreateTable(s Schema) (*Table, error)
 	// Table returns the named table, or an error if it does not exist.
 	Table(name string) (*Table, error)
-	// TableNames lists tables in sorted order.
-	TableNames() []string
 	// Shards returns the engine's partition count (1 for unsharded).
 	Shards() int
 	// Sync flushes buffered log records to stable storage.
 	Sync() error
-	// Compact runs a major compaction: every table's live state folds
-	// into one segment per shard and the write-ahead log(s) truncate
-	// to schema/index records plus post-capture residue. Background
-	// minor compactions (see OpenShardedWithPolicy) happen on their
-	// own; Compact remains the explicit full merge.
-	Compact() error
 	// CompactionStats reports compaction activity — minor/major run
 	// counts, rows/bytes rewritten, trigger backlog and the last
 	// compaction error — summed over shards.
 	CompactionStats() CompactionStats
+	// BlockCacheStats snapshots the engine-wide decoded-block cache
+	// shared by every shard's segments.
+	BlockCacheStats() CacheStats
 	// LogSize returns the total bytes of write-ahead log.
 	LogSize() int64
 	// Health reports the engine's degradation state — the

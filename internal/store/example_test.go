@@ -27,7 +27,7 @@ func Example() {
 	tbl.Insert(store.Row{store.Int(2), store.Str("htn"), store.Str("C0003")})
 	tbl.CreateIndex("norm")
 
-	rows, _ := tbl.Lookup("norm", store.Str("htn"))
+	rows, _, _ := tbl.Query(store.Query{Preds: []store.Pred{store.Eq("norm", store.Str("htn"))}})
 	fmt.Println(rows[0][2].S)
 	// Output: C0003
 }

@@ -3,9 +3,12 @@ package store
 import (
 	"bytes"
 	"errors"
+	"math"
 )
 
-// ErrBadQuery reports a malformed predicate (unknown operator).
+// ErrBadQuery reports a malformed predicate: an unknown operator, or a
+// NaN bound, which is unordered and so would compare equal to every
+// value.
 var ErrBadQuery = errors.New("store: malformed query predicate")
 
 // The query layer answers predicate queries over one table, choosing a
@@ -135,7 +138,7 @@ func (t *Table) Query(q Query) ([]Row, QueryStats, error) {
 		if p.V.Type != t.schema.Columns[ci].Type {
 			return nil, QueryStats{}, ErrTypeMism
 		}
-		if p.Op < OpEq || p.Op > OpGe {
+		if p.Op < OpEq || p.Op > OpGe || (p.V.Type == TFloat && math.IsNaN(p.V.F)) {
 			return nil, QueryStats{}, ErrBadQuery
 		}
 		cis[i] = ci
@@ -313,33 +316,11 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 }
 
 // pkBounds folds the predicates on the primary-key column into [lo, hi)
-// encoded-key bounds for the scan path (nil = unbounded). Exclusive
-// bounds use the key-successor trick: appending a zero byte to an
-// encoded key yields the smallest strictly greater key.
+// encoded-key bounds for the scan path (nil = unbounded).
 func pkBounds(preds []Pred, cis []int, primary int) (lo, hi []byte) {
 	for i, p := range preds {
-		if cis[i] != primary {
-			continue
-		}
-		var plo, phi []byte
-		switch p.Op {
-		case OpEq:
-			plo = encodeKey(p.V)
-			phi = append(encodeKey(p.V), 0)
-		case OpGe:
-			plo = encodeKey(p.V)
-		case OpGt:
-			plo = append(encodeKey(p.V), 0)
-		case OpLt:
-			phi = encodeKey(p.V)
-		case OpLe:
-			phi = append(encodeKey(p.V), 0)
-		}
-		if plo != nil && (lo == nil || bytes.Compare(plo, lo) > 0) {
-			lo = plo
-		}
-		if phi != nil && (hi == nil || bytes.Compare(phi, hi) < 0) {
-			hi = phi
+		if cis[i] == primary {
+			lo, hi = foldBound(lo, hi, p)
 		}
 	}
 	return lo, hi
@@ -347,8 +328,7 @@ func pkBounds(preds []Pred, cis []int, primary int) (lo, hi []byte) {
 
 // rangeBounds picks the first indexed column that carries a range
 // predicate and folds every range predicate on it into [lo, hi) key
-// bounds. Exclusive bounds use the key-successor trick: appending a zero
-// byte to an encoded key yields the smallest strictly greater key.
+// bounds.
 func (ts *tableShard) rangeBounds(preds []Pred) (col string, lo, hi []byte, ok bool) {
 	for _, p := range preds {
 		if p.Op == OpEq {
@@ -358,25 +338,38 @@ func (ts *tableShard) rangeBounds(preds []Pred) (col string, lo, hi []byte, ok b
 			continue
 		}
 		col, ok = p.Col, true
-		var plo, phi []byte
-		switch p.Op {
-		case OpGe:
-			plo = encodeKey(p.V)
-		case OpGt:
-			plo = append(encodeKey(p.V), 0)
-		case OpLt:
-			phi = encodeKey(p.V)
-		case OpLe:
-			phi = append(encodeKey(p.V), 0)
-		}
-		if plo != nil && (lo == nil || bytes.Compare(plo, lo) > 0) {
-			lo = plo
-		}
-		if phi != nil && (hi == nil || bytes.Compare(phi, hi) < 0) {
-			hi = phi
-		}
+		lo, hi = foldBound(lo, hi, p)
 	}
 	return col, lo, hi, ok
+}
+
+// foldBound tightens the encoded-key bounds [lo, hi) (nil = unbounded)
+// by one predicate. Exclusive bounds use the key-successor trick:
+// appending a zero byte to an encoded key yields the smallest strictly
+// greater key.
+func foldBound(lo, hi []byte, p Pred) ([]byte, []byte) {
+	k := encodeKey(p.V)
+	succ := append(k[:len(k):len(k)], 0)
+	var plo, phi []byte
+	switch p.Op {
+	case OpEq:
+		plo, phi = k, succ
+	case OpGe:
+		plo = k
+	case OpGt:
+		plo = succ
+	case OpLt:
+		phi = k
+	case OpLe:
+		phi = succ
+	}
+	if plo != nil && (lo == nil || bytes.Compare(plo, lo) > 0) {
+		lo = plo
+	}
+	if phi != nil && (hi == nil || bytes.Compare(phi, hi) < 0) {
+		hi = phi
+	}
+	return lo, hi
 }
 
 // filterExceptCol tests every predicate not on the given column (those

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"testing"
 )
@@ -43,6 +45,20 @@ func fillAttrs(t *testing.T, tbl *Table, n int) {
 	if err := tbl.InsertBatch(rows); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// indexEq answers an equality on an indexed column through Query and
+// fails the test when the planner did not take that column's index.
+func indexEq(t testing.TB, tbl *Table, col string, v Value) []Row {
+	t.Helper()
+	rows, st, err := tbl.Query(Query{Preds: []Pred{Eq(col, v)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.UsedIndex || st.IndexCol != col {
+		t.Fatalf("%s = %v did not use the %s index: %+v", col, v, col, st)
+	}
+	return rows
 }
 
 func TestQueryEqualityUsesIndexNoFullScan(t *testing.T) {
@@ -110,8 +126,12 @@ func TestQueryRangeUsesIndex(t *testing.T) {
 		}
 	}
 	// Verify against the scan fallback.
-	want := tbl.Select(func(r Row) bool {
-		return r[2].S == "pulse" && r[4].F > 100 && r[4].F <= 110
+	var want []Row
+	tbl.Scan(func(r Row) bool {
+		if r[2].S == "pulse" && r[4].F > 100 && r[4].F <= 110 {
+			want = append(want, r)
+		}
+		return true
 	})
 	if len(rows) != len(want) {
 		t.Errorf("index path returned %d rows, scan %d", len(rows), len(want))
@@ -165,6 +185,15 @@ func TestQueryLimitAndErrors(t *testing.T) {
 	if _, _, err := tbl.Query(Query{Preds: []Pred{{Col: "attribute", Op: 99, V: Str("x")}}}); err == nil {
 		t.Error("bad operator accepted")
 	}
+	// NaN is unordered: as a bound it would compare equal to every value
+	// and match all rows or none, so every operator refuses it.
+	nan := Float(math.NaN())
+	for _, p := range []Pred{Eq("numeric", nan), Lt("numeric", nan), Le("numeric", nan),
+		Gt("numeric", nan), Ge("numeric", nan)} {
+		if rows, _, err := tbl.Query(Query{Preds: []Pred{p}}); !errors.Is(err, ErrBadQuery) {
+			t.Errorf("%s NaN: %d rows, err %v; want ErrBadQuery", p.Op, len(rows), err)
+		}
+	}
 }
 
 func TestQueryEmptyPredsReturnsAll(t *testing.T) {
@@ -211,7 +240,7 @@ func TestIndexSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := tbl.Stats()
-	if st.Indexes != 1 || st.IndexNames[0] != "attribute" {
+	if len(st.IndexNames) != 1 || st.IndexNames[0] != "attribute" {
 		t.Fatalf("index lost across reopen: %+v", st)
 	}
 	_, stats, err := tbl.Query(Query{Preds: []Pred{Eq("attribute", Str("pulse"))}})
@@ -268,7 +297,7 @@ func TestIndexSurvivesCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := tbl.Stats(); st.Indexes != 1 {
+	if st := tbl.Stats(); len(st.IndexNames) != 1 {
 		t.Fatalf("index lost across compact+reopen: %+v", st)
 	}
 	if tbl.Len() != 59 {

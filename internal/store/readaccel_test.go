@@ -446,10 +446,6 @@ func TestQueryCacheCounters(t *testing.T) {
 	if cs := db.BlockCacheStats(); cs.Hits == 0 || cs.Entries == 0 {
 		t.Fatalf("engine cache stats: %+v", cs)
 	}
-	// Table.Stats carries the same snapshot.
-	if ts := tbl.Stats(); ts.Cache.Hits == 0 {
-		t.Fatalf("table cache stats: %+v", ts.Cache)
-	}
 	// Disabling the cache drops the entries and stops caching; queries
 	// still answer, paying misses again.
 	db.SetBlockCacheCapacity(0)

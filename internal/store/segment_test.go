@@ -245,10 +245,6 @@ func TestCompactEmitsSegments(t *testing.T) {
 		if err != nil || row[0].I != 7 {
 			t.Fatalf("%s: Get(7) = %v, %v", label, row, err)
 		}
-		byPatient, err := tbl.Lookup("patient", Int(3))
-		if err != nil || len(byPatient) != 3 {
-			t.Fatalf("%s: Lookup(patient=3) = %d rows, err %v; want 3", label, len(byPatient), err)
-		}
 		rows, st, err := tbl.Query(Query{Preds: []Pred{Eq("patient", Int(5))}})
 		if err != nil || !st.UsedIndex || len(rows) != 3 {
 			t.Fatalf("%s: indexed query = %d rows, stats %+v, err %v", label, len(rows), st, err)

@@ -78,7 +78,7 @@ func TestSingleShardByteCompat(t *testing.T) {
 		}
 	}
 	st := tbl.Stats()
-	if st.Indexes != 2 || len(st.IndexNames) != 2 {
+	if len(st.IndexNames) != 2 {
 		t.Errorf("indexes not recovered: %+v", st)
 	}
 	checkIndexConsistent(t, tbl)
@@ -156,6 +156,7 @@ func TestShardedQueryParity(t *testing.T) {
 		{Preds: []Pred{Eq("attribute", Str("pulse"))}},
 		{Preds: []Pred{Eq("attribute", Str("smoking")), Eq("value", Str("current"))}},
 		{Preds: []Pred{Ge("numeric", Float(80)), Lt("numeric", Float(100))}},
+		{Preds: []Pred{Ge("numeric", Float(60)), Lt("numeric", Float(90))}},
 		{Preds: []Pred{Eq("value", Str("never"))}}, // unindexed: scan fallback
 		{Preds: []Pred{Eq("attribute", Str("pulse"))}, Limit: 7},
 		{Preds: []Pred{Gt("numeric", Float(55))}, Limit: 11},
@@ -183,43 +184,19 @@ func TestShardedQueryParity(t *testing.T) {
 		if gotStats.UsedIndex != wantStats.UsedIndex || gotStats.FullScan != wantStats.FullScan {
 			t.Errorf("query %d: plans diverge: single %+v sharded %+v", qi, wantStats, gotStats)
 		}
-	}
-
-	// Lookup, LookupRange and Scan merge into the single-shard order.
-	for _, col := range []string{"attribute"} {
-		want, err := st.Lookup(col, Str("pulse"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sh.Lookup(col, Str("pulse"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) != len(got) {
-			t.Fatalf("Lookup(%s): %d vs %d rows", col, len(got), len(want))
-		}
-		for i := range want {
-			if !rowsEqual(got[i], want[i]) {
-				t.Errorf("Lookup(%s) row %d: %v != %v", col, i, got[i], want[i])
+		// The index paths answer in (indexed value, primary key) order.
+		if gotStats.UsedIndex {
+			less := sh.lessByColPK(sh.schema.colIndex(gotStats.IndexCol))
+			for i := 1; i < len(got); i++ {
+				if !less(got[i-1], got[i]) {
+					t.Errorf("query %d rows %d,%d out of (%s, pk) order: %v, %v",
+						qi, i-1, i, gotStats.IndexCol, got[i-1], got[i])
+				}
 			}
 		}
 	}
-	wantR, err := st.LookupRange("numeric", Float(60), Float(90))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotR, err := sh.LookupRange("numeric", Float(60), Float(90))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wantR) != len(gotR) {
-		t.Fatalf("LookupRange: %d vs %d rows", len(gotR), len(wantR))
-	}
-	for i := range wantR {
-		if !rowsEqual(gotR[i], wantR[i]) {
-			t.Errorf("LookupRange row %d: %v != %v", i, gotR[i], wantR[i])
-		}
-	}
+
+	// Scan merges into the single-shard order.
 	var wantScan, gotScan []Row
 	st.Scan(func(r Row) bool { wantScan = append(wantScan, r); return true })
 	sh.Scan(func(r Row) bool { gotScan = append(gotScan, r); return true })

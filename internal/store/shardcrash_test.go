@@ -178,7 +178,7 @@ func TestShardTornCreateTableRepaired(t *testing.T) {
 		t.Fatalf("table not repaired onto truncated shard: %v", err)
 	}
 	st := tbl.Stats()
-	if st.Indexes != 1 {
+	if len(st.IndexNames) != 1 {
 		t.Errorf("index inventory not repaired: %+v", st)
 	}
 	// A write routed to the repaired shard must work and survive.

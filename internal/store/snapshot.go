@@ -38,28 +38,23 @@ type Snapshot struct {
 }
 
 // Snapshot captures a stable view of the table: per shard, the pinned
-// segment set and the memtable entries within [lo, hi) (nil bounds =
-// everything). Each shard is captured under its read lock — a short,
-// bounded hold — after which iteration never locks.
-func (t *Table) Snapshot() *Snapshot { return t.snapshotRange(nil, nil) }
-
-func (t *Table) snapshotRange(lo, hi []byte) *Snapshot {
+// segment set and every memtable entry. Each shard is captured under
+// its read lock — a short, bounded hold — after which iteration never
+// locks.
+func (t *Table) Snapshot() *Snapshot {
 	snap := &Snapshot{table: t, shards: make([]shardSnap, len(t.shards))}
 	for i, ts := range t.shards {
-		snap.shards[i] = ts.capture(lo, hi)
+		ts.mu.RLock()
+		snap.shards[i] = ts.captureLocked(nil, nil)
+		ts.mu.RUnlock()
 	}
 	return snap
 }
 
-// capture takes one shard's snapshot under its read lock.
-func (ts *tableShard) capture(lo, hi []byte) shardSnap {
-	ts.mu.RLock()
-	defer ts.mu.RUnlock()
-	return ts.captureLocked(lo, hi)
-}
-
-// captureLocked captures with the shard's lock already held (read or
-// write) — query's scan path releases the lock itself right after.
+// captureLocked captures the shard's segments and its memtable entries
+// within [lo, hi) (nil bounds = everything) with the shard's lock
+// already held (read or write) — query's scan path releases the lock
+// itself right after.
 func (ts *tableShard) captureLocked(lo, hi []byte) shardSnap {
 	ss := shardSnap{seq: ts.seq}
 	if len(ts.segs) > 0 {
@@ -120,22 +115,14 @@ func (s *Snapshot) Seq() uint64 {
 // Scan streams every live row in ascending primary-key order without
 // holding any lock. fn returning false stops early. It returns any
 // segment read error (a memtable-only snapshot cannot fail).
+//
+// The per-shard snapshots merge into global key order: each shard's
+// merged stream is itself merged k-way across shards (shards partition
+// the key space by hash, so cross-shard order still needs the
+// comparison; within a shard, newest-wins resolves duplicates).
 func (s *Snapshot) Scan(fn func(Row) bool) error {
-	return s.scan(nil, nil, fn)
-}
-
-// ScanRange streams live rows with primary key in [lo, hi).
-func (s *Snapshot) ScanRange(lo, hi Value, fn func(Row) bool) error {
-	return s.scan(encodeKey(lo), encodeKey(hi), fn)
-}
-
-// scan merges the per-shard snapshots into global key order: each
-// shard's merged stream is itself merged k-way across shards (shards
-// partition the key space by hash, so cross-shard order still needs
-// the comparison; within a shard, newest-wins resolves duplicates).
-func (s *Snapshot) scan(lo, hi []byte, fn func(Row) bool) error {
 	if len(s.shards) == 1 {
-		return s.shards[0].iterate(lo, hi, nil, fn)
+		return s.shards[0].iterate(nil, nil, nil, fn)
 	}
 	// Fan the per-shard merges out into sorted row slices, then k-way
 	// merge. Iteration here is lock-free already, so collecting per
@@ -143,7 +130,7 @@ func (s *Snapshot) scan(lo, hi []byte, fn func(Row) bool) error {
 	// re-implementing a concurrent heap.
 	parts := make([][]Row, len(s.shards))
 	err := fanOut(len(s.shards), func(i int) error {
-		return s.shards[i].iterate(lo, hi, nil, func(r Row) bool {
+		return s.shards[i].iterate(nil, nil, nil, func(r Row) bool {
 			parts[i] = append(parts[i], r)
 			return true
 		})

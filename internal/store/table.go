@@ -50,10 +50,10 @@ func (s *Schema) validate(row Row) error {
 // in-memory memtable (B-tree) holding everything written since — rows,
 // plus tombstones masking segment keys deleted after compaction. Point
 // operations route to one shard; batch inserts split into per-shard
-// sub-batches logged and applied in parallel; scans and range reads
-// take a snapshot (pinned segments + captured memtable) and k-way-merge
-// it without holding any lock, so a long analytic read never blocks a
-// live ingest.
+// sub-batches logged and applied in parallel; scans (Scan, and Query
+// when no index applies) take a snapshot (pinned segments + captured
+// memtable) and k-way-merge it without holding any lock, so a long
+// analytic read never blocks a live ingest.
 type Table struct {
 	schema Schema
 	shards []*tableShard
@@ -85,7 +85,6 @@ type tableShard struct {
 var (
 	ErrDuplicate = errors.New("store: duplicate primary key")
 	ErrNotFound  = errors.New("store: not found")
-	ErrNoIndex   = errors.New("store: no index on column")
 	ErrPKChange  = errors.New("store: update may not change the primary key")
 )
 
@@ -207,10 +206,6 @@ func (t *Table) Insert(row Row) error {
 	ts := t.shardFor(key)
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	return ts.insertLocked(key, row)
-}
-
-func (ts *tableShard) insertLocked(key []byte, row Row) error {
 	_, live, err := ts.liveGet(key)
 	if err != nil {
 		return err
@@ -400,11 +395,11 @@ func (t *Table) CreateIndex(col string) error {
 		return fmt.Errorf("store: table %s has no column %s", t.schema.Name, col)
 	}
 	// Build the in-memory index on every shard even if logging fails
-	// partway: the fan-out planner and whole-table Lookup require the
-	// index inventory to be identical across shards. A shard whose
-	// create record could not be appended reports the error but still
-	// carries the index in memory; the durable inventory is repaired
-	// from the other shards' WALs at the next open (buildRouters).
+	// partway: the fan-out planner requires the index inventory to be
+	// identical across shards. A shard whose create record could not be
+	// appended reports the error but still carries the index in memory;
+	// the durable inventory is repaired from the other shards' WALs at
+	// the next open (buildRouters).
 	var firstErr error
 	for _, ts := range t.shards {
 		ts.mu.Lock()
@@ -512,16 +507,6 @@ func (ts *tableShard) resolveAll(entries []postingEntry, rs *ReadCounters) ([]Ro
 	return out, nil
 }
 
-// appendResolved appends the posting rows (already pk-sorted) to out,
-// resolving by-reference entries from the segments.
-func (ts *tableShard) appendResolved(pl *postingList, out []Row, rs *ReadCounters) ([]Row, error) {
-	rows, err := ts.resolveAll(pl.entries, rs)
-	if err != nil {
-		return out, err
-	}
-	return append(out, rows...), nil
-}
-
 func indexAdd(idx *btree, sk, pk []byte, row Row) {
 	v, ok := idx.Get(sk)
 	if !ok {
@@ -549,37 +534,6 @@ func indexRemove(idx *btree, sk, pk []byte) {
 			idx.Delete(sk)
 		}
 	}
-}
-
-// Lookup returns all rows whose indexed column equals v in ascending
-// primary-key order, using the secondary index on col. The column must
-// have an index. With multiple shards the per-shard posting lists are
-// fanned out and merged by primary key.
-func (t *Table) Lookup(col string, v Value) ([]Row, error) {
-	parts := make([][]Row, len(t.shards))
-	err := fanOut(len(t.shards), func(i int) (err error) {
-		parts[i], err = t.shards[i].lookup(col, v)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return kwayMerge(parts, t.lessByPK()), nil
-}
-
-func (ts *tableShard) lookup(col string, v Value) ([]Row, error) {
-	ts.mu.RLock()
-	defer ts.mu.RUnlock()
-	idx, ok := ts.secondary[col]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoIndex, col)
-	}
-	pv, ok := idx.Get(encodeKey(v))
-	if !ok {
-		return nil, nil
-	}
-	pl := pv.(*postingList)
-	return ts.resolveAll(pl.entries, nil)
 }
 
 // kwayMerge merges per-shard result slices that are each already
@@ -646,27 +600,4 @@ func (t *Table) Scan(fn func(Row) bool) {
 	snap := t.Snapshot()
 	defer snap.Release()
 	_ = snap.Scan(fn) // a segment read error ends the scan early
-}
-
-// ScanRange calls fn for rows with primary key in [lo, hi), in
-// ascending primary-key order; snapshotting as in Scan, with the
-// bounds pruning both the memtable capture and (via zone maps) the
-// segment blocks read.
-func (t *Table) ScanRange(lo, hi Value, fn func(Row) bool) {
-	lok, hik := encodeKey(lo), encodeKey(hi)
-	snap := t.snapshotRange(lok, hik)
-	defer snap.Release()
-	_ = snap.scan(lok, hik, fn)
-}
-
-// Select returns all rows matching a predicate, by full scan.
-func (t *Table) Select(pred func(Row) bool) []Row {
-	var out []Row
-	t.Scan(func(r Row) bool {
-		if pred(r) {
-			out = append(out, r)
-		}
-		return true
-	})
-	return out
 }

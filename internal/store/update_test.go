@@ -19,10 +19,10 @@ func TestUpdate(t *testing.T) {
 		t.Fatalf("after update: %v, %v", got, err)
 	}
 	// Secondary index must follow.
-	if rows, _ := tbl.Lookup("norm", Str("old")); len(rows) != 0 {
+	if rows := indexEq(t, tbl, "norm", Str("old")); len(rows) != 0 {
 		t.Error("stale index entry after update")
 	}
-	if rows, _ := tbl.Lookup("norm", Str("new")); len(rows) != 1 {
+	if rows := indexEq(t, tbl, "norm", Str("new")); len(rows) != 1 {
 		t.Error("missing index entry after update")
 	}
 	// Errors.
@@ -35,24 +35,6 @@ func TestUpdate(t *testing.T) {
 	bad := Row{Int(1), Int(5), Str("p"), Float(0), Bool(true)}
 	if err := tbl.Update(Int(1), bad); err == nil {
 		t.Error("type mismatch accepted in update")
-	}
-}
-
-func TestUpsert(t *testing.T) {
-	db := OpenMemory()
-	tbl, _ := db.CreateTable(testSchema())
-	if err := tbl.Upsert(Row{Int(1), Str("a"), Str("p"), Float(0), Bool(true)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Upsert(Row{Int(1), Str("b"), Str("p"), Float(0), Bool(true)}); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 1 {
-		t.Fatalf("Len = %d after double upsert", tbl.Len())
-	}
-	got, _ := tbl.Get(Int(1))
-	if got[1].S != "b" {
-		t.Errorf("upsert did not replace: %v", got)
 	}
 }
 
@@ -87,20 +69,25 @@ func TestLookupRange(t *testing.T) {
 		tbl.Insert(Row{Int(int64(i)), Str(norm), Str("p"), Float(0), Bool(true)})
 	}
 	tbl.CreateIndex("norm")
-	rows, err := tbl.LookupRange("norm", Str("b"), Str("d"))
+	rows, st, err := tbl.Query(Query{Preds: []Pred{Ge("norm", Str("b")), Lt("norm", Str("d"))}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !st.UsedIndex || st.IndexCol != "norm" || st.FullScan {
+		t.Fatalf("range did not walk the norm index: %+v", st)
 	}
 	if len(rows) != 8 { // b and c, 4 rows each
 		t.Fatalf("range rows = %d, want 8", len(rows))
 	}
-	for _, r := range rows {
-		if r[1].S != "b" && r[1].S != "c" {
-			t.Errorf("out-of-range row %v", r)
+	// (value, primary key) order: b's rows by id, then c's.
+	for i, r := range rows {
+		want := "b"
+		if i >= 4 {
+			want = "c"
 		}
-	}
-	if _, err := tbl.LookupRange("preferred", Str("a"), Str("z")); err != ErrNoIndex {
-		t.Errorf("range without index: %v", err)
+		if r[1].S != want || (i > 0 && i != 4 && r[0].I <= rows[i-1][0].I) {
+			t.Errorf("row %d = %v, want norm %s in id order", i, r, want)
+		}
 	}
 }
 
@@ -111,7 +98,7 @@ func TestStats(t *testing.T) {
 	tbl.CreateIndex("norm")
 	tbl.CreateIndex("preferred")
 	s := tbl.Stats()
-	if s.Rows != 1 || s.Indexes != 2 {
+	if s.Rows != 1 || s.Segments != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
 	if len(s.IndexNames) != 2 || s.IndexNames[0] != "norm" {
