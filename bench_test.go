@@ -75,7 +75,7 @@ func BenchmarkE3SmokingCV(b *testing.B) {
 func BenchmarkF1LinkageDiagram(b *testing.B) {
 	sent := textproc.SplitSentences("Blood pressure is 144/90, pulse of 84, temperature of 98.3, and weight of 154 pounds.")[0]
 	for i := 0; i < b.N; i++ {
-		lk, err := linkgram.ParseSentence(sent)
+		lk, err := linkgram.Parse(pos.TagSentence(sent))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -202,15 +202,14 @@ func BenchmarkLinkParse(b *testing.B) {
 	recs := corpus(b, 0)
 	var sents []textproc.Sentence
 	for _, r := range recs[:10] {
-		secs := textproc.SplitSections(r.Text)
-		if sec, ok := textproc.FindSection(secs, "Vitals"); ok {
-			sents = append(sents, textproc.SplitSentences(sec.Body)...)
+		if sec, ok := textproc.Analyze(r.Text).Section("Vitals"); ok {
+			sents = append(sents, sec.Sentences()...)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := linkgram.ParseSentence(sents[i%len(sents)]); err != nil {
+		if _, err := linkgram.Parse(pos.TagSentence(sents[i%len(sents)])); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -312,23 +311,23 @@ func BenchmarkPipelineProcess(b *testing.B) {
 // classifier over the record again), exactly as the pre-Document code
 // did. It is the "before" side of the refactor benchmark.
 func seedProcess(sys *core.System, recordText string) core.Extraction {
-	ex := core.Extraction{Numeric: sys.Numeric.Extract(recordText)}
-	secs := textproc.SplitSections(recordText)
-	if sec, ok := textproc.FindSection(secs, "Past Medical History"); ok {
-		ex.PreMedical, ex.OtherMedical = core.SplitTerms(sys.Terms.Extract(sec.Body, ontology.PredefinedMedical))
+	ex := core.Extraction{Numeric: sys.Numeric.ExtractDoc(textproc.Analyze(recordText))}
+	doc := textproc.Analyze(recordText)
+	if sec, ok := doc.Section("Past Medical History"); ok {
+		ex.PreMedical, ex.OtherMedical = core.SplitTerms(sys.Terms.ExtractSection(sec, ontology.PredefinedMedical))
 	}
-	if sec, ok := textproc.FindSection(secs, "Past Surgical History"); ok {
-		ex.PreSurgical, ex.OtherSurgical = core.SplitTerms(sys.Terms.Extract(sec.Body, ontology.PredefinedSurgical))
+	if sec, ok := doc.Section("Past Surgical History"); ok {
+		ex.PreSurgical, ex.OtherSurgical = core.SplitTerms(sys.Terms.ExtractSection(sec, ontology.PredefinedSurgical))
 	}
-	if sec, ok := textproc.FindSection(secs, "Medications"); ok {
-		for _, t := range sys.Terms.Extract(sec.Body, nil) {
+	if sec, ok := doc.Section("Medications"); ok {
+		for _, t := range sys.Terms.ExtractSection(sec, nil) {
 			if t.Concept.Type == ontology.Medication {
 				ex.Medications = append(ex.Medications, t.Concept.Preferred)
 			}
 		}
 	}
 	if sys.Smoking != nil {
-		ex.Smoking = sys.Smoking.Classify(recordText)
+		ex.Smoking = sys.Smoking.ClassifyDoc(textproc.Analyze(recordText))
 	}
 	return ex
 }

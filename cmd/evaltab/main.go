@@ -83,8 +83,8 @@ func run(args []string, out io.Writer) error {
 			ont := ontology.MustNew(ontology.Options{})
 			fmt.Fprintf(out, "E5 medication extraction: %v\n", eval.RunE5(recs, ont))
 		case "F1":
-			sent := textproc.SplitSentences("Blood pressure is 144/90, pulse of 84, temperature of 98.3, and weight of 154 pounds.")[0]
-			lk, err := linkgram.ParseSentence(sent)
+			sec := &textproc.DocSection{Section: textproc.Section{Body: "Blood pressure is 144/90, pulse of 84, temperature of 98.3, and weight of 154 pounds."}}
+			lk, err := linkgram.ParseSection(sec, 0)
 			if err != nil {
 				return fmt.Errorf("figure 1 sentence failed to parse: %v", err)
 			}

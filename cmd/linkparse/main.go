@@ -26,8 +26,9 @@ func main() {
 		args = []string{"Blood pressure is 144/90, pulse of 84, temperature of 98.3, and weight of 154 pounds."}
 	}
 	for _, text := range args {
-		for _, sent := range textproc.SplitSentences(text) {
-			lk, err := linkgram.ParseSentence(sent)
+		sec := &textproc.DocSection{Section: textproc.Section{Body: text}}
+		for i, sent := range sec.Sentences() {
+			lk, err := linkgram.ParseSection(sec, i)
 			if err != nil {
 				fmt.Printf("%s\n  (no linkage: %v — the extractor would fall back to patterns)\n\n", sent.Text, err)
 				continue

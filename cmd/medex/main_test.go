@@ -311,7 +311,8 @@ func TestParseCond(t *testing.T) {
 	if err != nil || c.Min == nil || *c.Min != 90 || c.Max == nil || *c.Max != 120 {
 		t.Fatalf("parseCond band = %+v, %v", c, err)
 	}
-	for _, bad := range []string{"", "pulse", "=x", "pulse=", "pulse>abc", "pulse>"} {
+	for _, bad := range []string{"", "pulse", "=x", "pulse=", "pulse>abc", "pulse>",
+		"pulse>80x", "pulse>1.5.5", "pulse<90 100", "pulse>80>90"} {
 		if _, err := parseCond(bad); err == nil {
 			t.Errorf("parseCond(%q) accepted", bad)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/cliutil"
@@ -167,7 +168,8 @@ func planLine(s core.QueryStats, h store.Health) string {
 
 // parseCond parses one -cond value. Forms: "attr=term" (equality on the
 // concept term, synonyms resolve), "attr>n" / "attr<n" (exclusive
-// numeric bounds) and "attr>n<m" (both bounds).
+// numeric bounds) and "attr>n<m" (both bounds). Each bound must parse
+// as a number in full and may appear at most once.
 func parseCond(s string) (core.Cond, error) {
 	i := strings.IndexAny(s, "=<>")
 	if i <= 0 {
@@ -185,23 +187,23 @@ func parseCond(s string) (core.Cond, error) {
 	for len(rest) > 0 {
 		op := rest[0]
 		rest = rest[1:]
-		j := strings.IndexAny(rest, "<>")
 		num := rest
-		if j >= 0 {
+		if j := strings.IndexAny(rest, "<>"); j >= 0 {
 			num, rest = rest[:j], rest[j:]
 		} else {
 			rest = ""
 		}
-		var v float64
-		if _, err := fmt.Sscanf(num, "%g", &v); err != nil || num == "" {
+		v, err := strconv.ParseFloat(num, 64)
+		if err != nil {
 			return core.Cond{}, fmt.Errorf("bad -cond %q: %q is not a number", s, num)
 		}
-		bound := v
-		switch op {
-		case '>':
-			c.Min, c.MinExcl = &bound, true
-		case '<':
-			c.Max, c.MaxExcl = &bound, true
+		switch {
+		case op == '>' && c.Min == nil:
+			c.Min, c.MinExcl = &v, true
+		case op == '<' && c.Max == nil:
+			c.Max, c.MaxExcl = &v, true
+		default:
+			return core.Cond{}, fmt.Errorf("bad -cond %q: repeated %c bound", s, op)
 		}
 	}
 	return c, nil

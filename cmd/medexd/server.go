@@ -193,23 +193,6 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-type condJSON struct {
-	Attr         string   `json:"attr"`
-	Term         string   `json:"term,omitempty"`
-	Min          *float64 `json:"min,omitempty"`
-	Max          *float64 `json:"max,omitempty"`
-	MinExclusive bool     `json:"minExclusive,omitempty"`
-	MaxExclusive bool     `json:"maxExclusive,omitempty"`
-}
-
-func (c condJSON) cond() core.Cond {
-	return core.Cond{
-		Attr: c.Attr, Term: c.Term,
-		Min: c.Min, Max: c.Max,
-		MinExcl: c.MinExclusive, MaxExcl: c.MaxExclusive,
-	}
-}
-
 // writeAnswer writes a question's answer under key, with its query
 // stats and, when the engine is degraded, the health caveat.
 func (s *server) writeAnswer(w http.ResponseWriter, key string, answer any, qs core.QueryStats) {
@@ -221,13 +204,6 @@ func (s *server) writeAnswer(w http.ResponseWriter, key string, answer any, qs c
 		stats.Health = h.String()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{key: answer, "stats": stats})
-}
-
-type rowJSON struct {
-	Patient   int64   `json:"patient"`
-	Attribute string  `json:"attribute"`
-	Value     string  `json:"value,omitempty"`
-	Numeric   float64 `json:"numeric,omitempty"`
 }
 
 // handleQuery answers a single-condition question from URL parameters:
@@ -262,11 +238,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.errorf(w, http.StatusBadRequest, "query: %v", err)
 			return
 		}
-		rows := make([]rowJSON, len(matched))
-		for i, m := range matched {
-			rows[i] = rowJSON{Patient: m.Patient, Attribute: m.Attribute, Value: m.Value, Numeric: m.Numeric}
-		}
-		s.writeAnswer(w, "rows", rows, qs)
+		s.writeAnswer(w, "rows", matched, qs)
 		return
 	}
 	patients, qs, err := s.wh.Ask(cond)
@@ -281,7 +253,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // every condition in the posted JSON body.
 func (s *server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	var req struct {
-		Conds []condJSON `json:"conds"`
+		Conds []core.Cond `json:"conds"`
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
 		s.errorf(w, http.StatusBadRequest, "ask: decoding request: %v", err)
@@ -291,11 +263,7 @@ func (s *server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		s.errorf(w, http.StatusBadRequest, "ask: at least one condition is required")
 		return
 	}
-	conds := make([]core.Cond, len(req.Conds))
-	for i, c := range req.Conds {
-		conds[i] = c.cond()
-	}
-	patients, qs, err := s.wh.Ask(conds...)
+	patients, qs, err := s.wh.Ask(req.Conds...)
 	if err != nil {
 		s.errorf(w, http.StatusBadRequest, "ask: %v", err)
 		return
@@ -315,11 +283,7 @@ func (s *server) handlePatient(w http.ResponseWriter, r *http.Request) {
 		s.errorf(w, http.StatusInternalServerError, "patient: %v", err)
 		return
 	}
-	rows := make([]rowJSON, len(chart))
-	for i, m := range chart {
-		rows[i] = rowJSON{Patient: m.Patient, Attribute: m.Attribute, Value: m.Value, Numeric: m.Numeric}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"patient": id, "rows": rows})
+	writeJSON(w, http.StatusOK, map[string]any{"patient": id, "rows": chart})
 }
 
 // handlePrevalence returns the value histogram of one attribute.

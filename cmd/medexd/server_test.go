@@ -552,6 +552,67 @@ func TestStatsKeyTree(t *testing.T) {
 	}
 }
 
+// TestWireKeyTree pins the daemon's row and condition wire format: the
+// key tree of every /v1/query?rows=true and /v1/patient/{id} row, and
+// that /v1/ask honours minExclusive/maxExclusive, so the JSON a client
+// reads and writes cannot drift when the types behind it change.
+func TestWireKeyTree(t *testing.T) {
+	_, ts := newTestServer(t, testConfig(), store.OpenMemorySharded(2))
+	body := ndjsonPatients(41, 42, 43) +
+		`{"id":44,"text":"Patient:  44\nPast Medical History:  Significant for diabetes.\nVitals:  Pulse is 104.\n"}` + "\n"
+	if resp, ack := postIngest(t, ts.URL, body); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest = %d (%v)", resp.StatusCode, ack)
+	}
+	rowTrees := func(answer map[string]any) []string {
+		var trees []string
+		for _, r := range answer["rows"].([]any) {
+			trees = append(trees, strings.Join(keyTree("", r.(map[string]any)), " "))
+		}
+		sort.Strings(trees)
+		return trees
+	}
+	numericRow := "attribute:string numeric:number patient:number value:string"
+	termRow := "attribute:string patient:number value:string"
+
+	q := getJSON(t, ts.URL+"/v1/query?attr=pulse&rows=true", http.StatusOK)
+	if got, want := rowTrees(q), []string{numericRow, numericRow, numericRow, numericRow}; strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("/v1/query rows key trees:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	chart := getJSON(t, ts.URL+"/v1/patient/44", http.StatusOK)
+	if got, want := rowTrees(chart), []string{numericRow, termRow}; strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("/v1/patient rows key trees:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if got := strings.Join(keyTree("", chart), " "); got != "patient:number rows:array" {
+		t.Errorf("/v1/patient key tree = %s", got)
+	}
+
+	ask := func(conds string) string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/ask", "application/json", strings.NewReader(`{"conds":[`+conds+`]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var answer map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&answer); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("ask %s = %d (%v)", conds, resp.StatusCode, answer)
+		}
+		return fmt.Sprint(answer["patients"])
+	}
+	if got := ask(`{"attr":"pulse","min":101,"max":103}`); got != "[41 42 43]" {
+		t.Errorf("inclusive ask = %s, want [41 42 43]", got)
+	}
+	if got := ask(`{"attr":"pulse","min":101,"max":103,"minExclusive":true,"maxExclusive":true}`); got != "[42]" {
+		t.Errorf("exclusive ask = %s, want [42]", got)
+	}
+	if got := ask(`{"attr":"pulse","min":101,"minExclusive":true},{"attr":"predefined past medical history","term":"diabetes"}`); got != "[44]" {
+		t.Errorf("term ask = %s, want [44]", got)
+	}
+}
+
 // keyTree flattens a decoded JSON object into sorted "path:type" lines.
 func keyTree(prefix string, obj map[string]any) []string {
 	var out []string

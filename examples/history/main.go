@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lexicon"
 	"repro/internal/ontology"
+	"repro/internal/textproc"
 )
 
 func main() {
@@ -30,8 +31,10 @@ func main() {
 	}
 	fmt.Println()
 
+	// A bare body is read by the extractors as an analyzed section.
 	x := &core.TermExtractor{Ont: ont, ResolveSynonyms: true}
-	for _, term := range x.Extract(body, ontology.PredefinedSurgical) {
+	sec := &textproc.DocSection{Section: textproc.Section{Body: body}}
+	for _, term := range x.ExtractSection(sec, ontology.PredefinedSurgical) {
 		kind := "other"
 		if term.Predefined {
 			kind = "predefined"
@@ -43,9 +46,10 @@ func main() {
 	// surgical recall.
 	body2 := "Gallbladder removal and tubes tied."
 	fmt.Printf("\ninput: %s\n", body2)
+	sec2 := &textproc.DocSection{Section: textproc.Section{Body: body2}}
 	for _, resolve := range []bool{false, true} {
 		x := &core.TermExtractor{Ont: ont, ResolveSynonyms: resolve}
-		pre, other := core.SplitTerms(x.Extract(body2, ontology.PredefinedSurgical))
+		pre, other := core.SplitTerms(x.ExtractSection(sec2, ontology.PredefinedSurgical))
 		fmt.Printf("  synonym resolution %-5v → predefined=%v other=%v\n", resolve, pre, other)
 	}
 }

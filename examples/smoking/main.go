@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/id3"
 	"repro/internal/records"
+	"repro/internal/textproc"
 )
 
 func main() {
@@ -47,6 +48,6 @@ func main() {
 	clf := core.TrainCategorical(field, recs)
 	for _, text := range examples {
 		note := "Social History:  " + text + ".\n"
-		fmt.Printf("  %-40q → %s\n", text, clf.Classify(note))
+		fmt.Printf("  %-40q → %s\n", text, clf.ClassifyDoc(textproc.Analyze(note)))
 	}
 }

@@ -17,9 +17,9 @@ func main() {
 	log.SetFlags(0)
 
 	sentence := "Blood pressure is 144/90, pulse of 84, temperature of 98.3, and weight of 154 pounds."
-	sent := textproc.SplitSentences(sentence)[0]
+	sec := &textproc.DocSection{Section: textproc.Section{Body: sentence}}
 
-	lk, err := linkgram.ParseSentence(sent)
+	lk, err := linkgram.ParseSection(sec, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func main() {
 		x := core.NewNumericExtractor(s)
 		correct, wrong, missed := 0, 0, 0
 		for _, r := range recs {
-			got := x.Extract(r.Text)
+			got := x.ExtractDoc(textproc.Analyze(r.Text))
 			for attr, gold := range r.Gold.Numeric {
 				v, ok := got[attr]
 				switch {

@@ -52,18 +52,6 @@ func NewInstance(features func() map[string]bool, tokens func() []string) Instan
 	return inst
 }
 
-// FeatureInstance wraps an eager Boolean feature map (the id3.Example
-// shape) as an Instance with no token view.
-func FeatureInstance(features map[string]bool) Instance {
-	return Instance{features: func() map[string]bool { return features }}
-}
-
-// TokenInstance wraps an eager token stream as an Instance with no
-// feature view.
-func TokenInstance(tokens []string) Instance {
-	return Instance{tokens: func() []string { return tokens }}
-}
-
 // Features returns the Boolean feature view (nil when absent).
 func (in Instance) Features() map[string]bool {
 	if in.features == nil {

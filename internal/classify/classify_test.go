@@ -66,24 +66,22 @@ func TestInstanceZeroValueAndNilViews(t *testing.T) {
 	}
 }
 
-func TestEagerWrappers(t *testing.T) {
-	f := FeatureInstance(map[string]bool{"quit": true})
-	if !f.Features()["quit"] || f.Tokens() != nil {
-		t.Error("FeatureInstance views wrong")
-	}
-	tok := TokenInstance([]string{"quit"})
-	if tok.Tokens()[0] != "quit" || tok.Features() != nil {
-		t.Error("TokenInstance views wrong")
-	}
+// featureInstance and tokenInstance build single-view instances.
+func featureInstance(features map[string]bool) Instance {
+	return NewInstance(func() map[string]bool { return features }, nil)
+}
+
+func tokenInstance(tokens []string) Instance {
+	return NewInstance(nil, func() []string { return tokens })
 }
 
 // treeExamples is a tiny linearly separable feature dataset.
 func treeExamples() []Example {
 	return []Example{
-		{Instance: FeatureInstance(map[string]bool{"smokes": true, "denies": false}), Class: "current"},
-		{Instance: FeatureInstance(map[string]bool{"smokes": true, "pack": true}), Class: "current"},
-		{Instance: FeatureInstance(map[string]bool{"denies": true}), Class: "never"},
-		{Instance: FeatureInstance(map[string]bool{"denies": true, "tobacco": true}), Class: "never"},
+		{Instance: featureInstance(map[string]bool{"smokes": true, "denies": false}), Class: "current"},
+		{Instance: featureInstance(map[string]bool{"smokes": true, "pack": true}), Class: "current"},
+		{Instance: featureInstance(map[string]bool{"denies": true}), Class: "never"},
+		{Instance: featureInstance(map[string]bool{"denies": true, "tobacco": true}), Class: "never"},
 	}
 }
 
@@ -106,12 +104,12 @@ func TestTreeBackends(t *testing.T) {
 
 func tokenExamples() []Example {
 	return []Example{
-		{Instance: TokenInstance([]string{"she", "smokes", "one", "pack", "per", "day"}), Class: "current"},
-		{Instance: TokenInstance([]string{"current", "smoker", "for", "20", "years"}), Class: "current"},
-		{Instance: TokenInstance([]string{"she", "denies", "tobacco", "use"}), Class: "never"},
-		{Instance: TokenInstance([]string{"never", "a", "smoker"}), Class: "never"},
-		{Instance: TokenInstance([]string{"former", "smoker", "quit", "ten", "years", "ago"}), Class: "former"},
-		{Instance: TokenInstance([]string{"she", "quit", "smoking", "five", "years", "ago"}), Class: "former"},
+		{Instance: tokenInstance([]string{"she", "smokes", "one", "pack", "per", "day"}), Class: "current"},
+		{Instance: tokenInstance([]string{"current", "smoker", "for", "20", "years"}), Class: "current"},
+		{Instance: tokenInstance([]string{"she", "denies", "tobacco", "use"}), Class: "never"},
+		{Instance: tokenInstance([]string{"never", "a", "smoker"}), Class: "never"},
+		{Instance: tokenInstance([]string{"former", "smoker", "quit", "ten", "years", "ago"}), Class: "former"},
+		{Instance: tokenInstance([]string{"she", "quit", "smoking", "five", "years", "ago"}), Class: "former"},
 	}
 }
 
@@ -138,7 +136,7 @@ func TestVectorTrainPredict(t *testing.T) {
 		{[]string{"quit", "smoking", "in", "1995"}, "former"},
 	}
 	for _, c := range cases {
-		if got := m.Predict(TokenInstance(c.tokens)); got != c.want {
+		if got := m.Predict(tokenInstance(c.tokens)); got != c.want {
 			t.Errorf("Predict(%v) = %q, want %q", c.tokens, got, c.want)
 		}
 	}
@@ -151,7 +149,7 @@ func TestVectorDeterministic(t *testing.T) {
 		{"smoker"}, {"tobacco"}, {"quit"}, {"she", "smokes"}, {"denies", "use"},
 	}
 	for _, p := range probes {
-		if ga, gb := a.Predict(TokenInstance(p)), b.Predict(TokenInstance(p)); ga != gb {
+		if ga, gb := a.Predict(tokenInstance(p)), b.Predict(tokenInstance(p)); ga != gb {
 			t.Errorf("two identical trainings disagree on %v: %q vs %q", p, ga, gb)
 		}
 	}
@@ -159,7 +157,7 @@ func TestVectorDeterministic(t *testing.T) {
 
 func TestVectorDegenerate(t *testing.T) {
 	empty := NewVector().Train(nil)
-	if got := empty.Predict(TokenInstance([]string{"smoker"})); got != "" {
+	if got := empty.Predict(tokenInstance([]string{"smoker"})); got != "" {
 		t.Errorf("untrained model predicted %q, want \"\"", got)
 	}
 	if empty.Size() != 0 {
@@ -175,11 +173,11 @@ func TestVectorTieBreaksOnFirstSortedLabel(t *testing.T) {
 	// Two labels with identical training text: every probe ties, and the
 	// sorted-label order must decide deterministically.
 	exs := []Example{
-		{Instance: TokenInstance([]string{"same", "words"}), Class: "zebra"},
-		{Instance: TokenInstance([]string{"same", "words"}), Class: "aardvark"},
+		{Instance: tokenInstance([]string{"same", "words"}), Class: "zebra"},
+		{Instance: tokenInstance([]string{"same", "words"}), Class: "aardvark"},
 	}
 	m := NewVector().Train(exs)
-	if got := m.Predict(TokenInstance([]string{"same", "words"})); got != "aardvark" {
+	if got := m.Predict(tokenInstance([]string{"same", "words"})); got != "aardvark" {
 		t.Errorf("tie broke to %q, want first sorted label \"aardvark\"", got)
 	}
 }

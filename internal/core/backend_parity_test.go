@@ -89,7 +89,7 @@ func TestTrainCategoricalBackendDefault(t *testing.T) {
 			continue
 		}
 		want := tree.Classify(SmokingField().Features(textproc.Analyze(r.Text)))
-		if got := c.Classify(r.Text); got != want {
+		if got := c.ClassifyDoc(textproc.Analyze(r.Text)); got != want {
 			t.Errorf("record %d: interface path predicted %q, direct tree %q", r.ID, got, want)
 		}
 	}

@@ -89,7 +89,7 @@ func TestVectorPredictionNeedsNoParsing(t *testing.T) {
 
 	tag0, parse0 := pos.TagPasses(), linkgram.ParsePasses()
 	for _, r := range recs[:10] {
-		vecC.Classify(r.Text)
+		vecC.ClassifyDoc(textproc.Analyze(r.Text))
 	}
 	if d := pos.TagPasses() - tag0; d != 0 {
 		t.Errorf("vector classification tagged %d sentences, want 0", d)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/records"
+	"repro/internal/textproc"
 )
 
 func TestSmokingFieldExamples(t *testing.T) {
@@ -50,7 +51,7 @@ func TestTrainAndClassifySmoking(t *testing.T) {
 			continue
 		}
 		total++
-		if clf.Classify(r.Text) == r.Gold.Smoking {
+		if clf.ClassifyDoc(textproc.Analyze(r.Text)) == r.Gold.Smoking {
 			correct++
 		}
 	}
@@ -81,8 +82,12 @@ func TestShapeField(t *testing.T) {
 	}
 }
 
+// TestFieldTextMissingSection: a record without the field's section
+// gives the field no text to read, so its instance has no features and
+// no tokens.
 func TestFieldTextMissingSection(t *testing.T) {
-	if got := SmokingField().FieldText("Chief Complaint:  Pain.\n"); got != "" {
-		t.Errorf("FieldText on missing section = %q", got)
+	in := SmokingField().Instance(textproc.Analyze("Chief Complaint:  Pain.\n"))
+	if f, tok := in.Features(), in.Tokens(); len(f) != 0 || len(tok) != 0 {
+		t.Errorf("instance of a record without Social History = %v / %v, want no features and no tokens", f, tok)
 	}
 }

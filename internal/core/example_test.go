@@ -5,13 +5,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/records"
+	"repro/internal/textproc"
 )
 
 // Extract the numeric fields of a vitals section with the paper's
 // link-grammar association.
-func ExampleNumericExtractor_Extract() {
+func ExampleNumericExtractor_ExtractDoc() {
 	x := core.NewNumericExtractor(core.LinkGrammar)
-	got := x.Extract("Vitals:  Blood pressure is 144/90, pulse of 84, and weight of 154.\n")
+	doc := textproc.Analyze("Vitals:  Blood pressure is 144/90, pulse of 84, and weight of 154.\n")
+	got := x.ExtractDoc(doc)
 	for _, attr := range []string{records.AttrBloodPressure, records.AttrPulse, records.AttrWeight} {
 		v := got[attr]
 		if v.Ratio {

@@ -60,9 +60,3 @@ func negationStart(sent textproc.Sentence) int {
 	}
 	return 1 << 30
 }
-
-// IsNegated reports whether the span [start,end) of the sentence's
-// tokens falls inside a negation scope.
-func IsNegated(sent textproc.Sentence, start int) bool {
-	return start >= negationStart(sent)
-}

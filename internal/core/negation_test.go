@@ -35,10 +35,10 @@ func TestNegationStart(t *testing.T) {
 			t.Fatalf("%q: word %q not found", c.text, w)
 			return -1
 		}
-		if c.negated != "" && !IsNegated(sent, idx(c.negated)) {
+		if c.negated != "" && idx(c.negated) < negationStart(sent) {
 			t.Errorf("%q: %q should be negated", c.text, c.negated)
 		}
-		if c.clear != "" && IsNegated(sent, idx(c.clear)) {
+		if c.clear != "" && idx(c.clear) >= negationStart(sent) {
 			t.Errorf("%q: %q should not be negated", c.text, c.clear)
 		}
 	}
@@ -50,7 +50,7 @@ func TestTermExtractorFilterNegated(t *testing.T) {
 
 	plain := &TermExtractor{Ont: ont, ResolveSynonyms: true}
 	var names []string
-	for _, tm := range plain.Extract(body, ontology.PredefinedMedical) {
+	for _, tm := range plain.ExtractSection(section(body), ontology.PredefinedMedical) {
 		names = append(names, tm.Concept.Preferred)
 	}
 	if !containsStr(names, "postoperative cva") { // "stroke" resolves to the CVA concept
@@ -59,7 +59,7 @@ func TestTermExtractorFilterNegated(t *testing.T) {
 
 	filtered := &TermExtractor{Ont: ont, ResolveSynonyms: true, FilterNegated: true}
 	names = names[:0]
-	for _, tm := range filtered.Extract(body, ontology.PredefinedMedical) {
+	for _, tm := range filtered.ExtractSection(section(body), ontology.PredefinedMedical) {
 		names = append(names, tm.Concept.Preferred)
 	}
 	if containsStr(names, "postoperative cva") {
@@ -76,7 +76,7 @@ func TestNegationScopeIsPerSentence(t *testing.T) {
 	body := "No history of stroke.  Significant for diabetes."
 	x := &TermExtractor{Ont: ont, ResolveSynonyms: true, FilterNegated: true}
 	var names []string
-	for _, tm := range x.Extract(body, ontology.PredefinedMedical) {
+	for _, tm := range x.ExtractSection(section(body), ontology.PredefinedMedical) {
 		names = append(names, tm.Concept.Preferred)
 	}
 	if !containsStr(names, "diabetes") {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/records"
+	"repro/internal/textproc"
 )
 
 const vitalsRecord = `Patient:  1
@@ -14,7 +15,7 @@ Vitals:  Blood pressure is 144/90, pulse of 84, and weight of 154.
 
 func TestNumericExtractionFullRecord(t *testing.T) {
 	x := NewNumericExtractor(LinkGrammar)
-	got := x.Extract(vitalsRecord)
+	got := x.ExtractDoc(textproc.Analyze(vitalsRecord))
 	want := map[string]float64{
 		records.AttrAge:           50,
 		records.AttrMenarche:      10,
@@ -43,7 +44,7 @@ func TestNumericExtractionFullRecord(t *testing.T) {
 func TestNumericExtractionStrategiesOnVitals(t *testing.T) {
 	for _, strat := range []Strategy{LinkGrammar, PatternOnly, ProximityOnly} {
 		x := NewNumericExtractor(strat)
-		got := x.Extract(vitalsRecord)
+		got := x.ExtractDoc(textproc.Analyze(vitalsRecord))
 		if got[records.AttrPulse].Value != 84 {
 			t.Errorf("%v: pulse = %v", strat, got[records.AttrPulse])
 		}
@@ -55,7 +56,7 @@ func TestNumericLinkGrammarBeatsPatternOnHardSentence(t *testing.T) {
 	// are separated by words that defeat shallow patterns but not graph
 	// distance ("Weight is 211 pounds with a pulse of 96 ...").
 	rec := "Vitals:  Weight is 211 pounds with a pulse of 96 and blood pressure of 144/90.\n"
-	lg := NewNumericExtractor(LinkGrammar).Extract(rec)
+	lg := NewNumericExtractor(LinkGrammar).ExtractDoc(textproc.Analyze(rec))
 	if lg[records.AttrWeight].Value != 211 {
 		t.Errorf("link-grammar weight = %v, want 211", lg[records.AttrWeight])
 	}
@@ -69,14 +70,14 @@ func TestNumericLinkGrammarBeatsPatternOnHardSentence(t *testing.T) {
 
 func TestNumericYearFiltered(t *testing.T) {
 	rec := "Social History:  She quit smoking in 1995.\nVitals:  Pulse of 96.\n"
-	got := NewNumericExtractor(LinkGrammar).Extract(rec)
+	got := NewNumericExtractor(LinkGrammar).ExtractDoc(textproc.Analyze(rec))
 	if got[records.AttrPulse].Value != 96 {
 		t.Errorf("pulse = %v", got[records.AttrPulse])
 	}
 }
 
 func TestNumericMissingSection(t *testing.T) {
-	got := NewNumericExtractor(LinkGrammar).Extract("Chief Complaint:  Breast pain.\n")
+	got := NewNumericExtractor(LinkGrammar).ExtractDoc(textproc.Analyze("Chief Complaint:  Breast pain.\n"))
 	if len(got) != 0 {
 		t.Errorf("extracted from empty record: %v", got)
 	}
@@ -90,7 +91,7 @@ func TestNumericE1Shape(t *testing.T) {
 	x := NewNumericExtractor(LinkGrammar)
 	correct, wrong, missed := 0, 0, 0
 	for _, r := range recs {
-		got := x.Extract(r.Text)
+		got := x.ExtractDoc(textproc.Analyze(r.Text))
 		for attr, gold := range r.Gold.Numeric {
 			v, ok := got[attr]
 			switch {

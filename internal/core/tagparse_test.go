@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/id3"
 	"repro/internal/linkgram"
 	"repro/internal/ontology"
 	"repro/internal/pos"
@@ -70,6 +71,39 @@ func TestProcessDocTagParseOnce(t *testing.T) {
 		if parse2 != parse1 {
 			t.Errorf("record %d: re-processing parsed %d sentences again, want 0", r.ID, parse2-parse1)
 		}
+	}
+}
+
+// TestBareSectionSharesMemo: a bare body wrapped as a DocSection literal
+// gets the Document memo too. The term extractor and the feature
+// extractor reading the same section tag each sentence exactly once
+// between them, and two constituent-filtered feature reads parse each
+// sentence exactly once.
+func TestBareSectionSharesMemo(t *testing.T) {
+	x := &TermExtractor{Ont: ontology.MustNew(ontology.Options{}), ResolveSynonyms: true}
+	sec := &textproc.DocSection{Section: textproc.Section{
+		Body: "Significant for diabetes and asthma.  She quit smoking five years ago.  for with tobacco",
+	}}
+	n := uint64(len(sec.Sentences()))
+
+	tag0, parse0 := pos.TagPasses(), linkgram.ParsePasses()
+	terms := x.ExtractSection(sec, ontology.PredefinedMedical)
+	feats := id3.FeaturesFromSection(sec, id3.DefaultOptions())
+	if got := pos.TagPasses() - tag0; got != n {
+		t.Errorf("terms + features tagged %d sentence(s), want each of the %d exactly once", got, n)
+	}
+	if len(terms) == 0 || !feats["quit"] {
+		t.Errorf("shared section lost results: terms %v, features %v", terms, feats)
+	}
+
+	objects := id3.FeatureOptions{Nouns: true, Verbs: true, Object: true}
+	id3.FeaturesFromSection(sec, objects)
+	id3.FeaturesFromSection(sec, objects)
+	if got := linkgram.ParsePasses() - parse0; got != n {
+		t.Errorf("two constituent reads parsed %d sentence(s), want each of the %d exactly once", got, n)
+	}
+	if got := pos.TagPasses() - tag0; got != n {
+		t.Errorf("constituent reads re-tagged: %d tag passes in all, want %d", got, n)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/lexicon"
 	"repro/internal/ontology"
 	"repro/internal/records"
+	"repro/internal/textproc"
 )
 
 // testPR is a minimal micro-averaged precision/recall counter, local to
@@ -51,6 +52,11 @@ func (p testPR) String() string {
 	return fmt.Sprintf("P=%.1f%% R=%.1f%%", 100*p.Precision(), 100*p.Recall())
 }
 
+// section wraps a bare body as an analyzed section.
+func section(body string) *textproc.DocSection {
+	return &textproc.DocSection{Section: textproc.Section{Body: body}}
+}
+
 func newTermExtractor(t *testing.T, resolve bool) *TermExtractor {
 	t.Helper()
 	return &TermExtractor{Ont: ontology.MustNew(ontology.Options{}), ResolveSynonyms: resolve}
@@ -60,7 +66,7 @@ func TestExtractPaperExample(t *testing.T) {
 	// §3.2: "Significant for a postoperative CVA after undergoing a
 	// cholecystectomy and a midline hernia closure" → three terms.
 	x := newTermExtractor(t, true)
-	terms := x.Extract("Significant for a postoperative CVA after undergoing a cholecystectomy and a midline hernia closure.", ontology.PredefinedSurgical)
+	terms := x.ExtractSection(section("Significant for a postoperative CVA after undergoing a cholecystectomy and a midline hernia closure."), ontology.PredefinedSurgical)
 	names := map[string]bool{}
 	for _, tm := range terms {
 		names[tm.Concept.Preferred] = true
@@ -74,7 +80,7 @@ func TestExtractPaperExample(t *testing.T) {
 
 func TestExtractTermList(t *testing.T) {
 	x := newTermExtractor(t, true)
-	terms := x.Extract("Significant for diabetes, heart disease, high blood pressure, hypercholesterolemia, bronchitis, arrhythmia, and depression.", ontology.PredefinedMedical)
+	terms := x.ExtractSection(section("Significant for diabetes, heart disease, high blood pressure, hypercholesterolemia, bronchitis, arrhythmia, and depression."), ontology.PredefinedMedical)
 	if len(terms) != 7 {
 		got := make([]string, len(terms))
 		for i, tm := range terms {
@@ -93,14 +99,14 @@ func TestExtractSynonymResolution(t *testing.T) {
 	body := "Gallbladder removal and cervical laminectomy."
 	// With synonym resolution: "gallbladder removal" → cholecystectomy →
 	// predefined.
-	terms := newTermExtractor(t, true).Extract(body, ontology.PredefinedSurgical)
+	terms := newTermExtractor(t, true).ExtractSection(section(body), ontology.PredefinedSurgical)
 	pre, other := SplitTerms(terms)
 	if len(pre) != 2 || len(other) != 0 {
 		t.Errorf("with synonyms: pre=%v other=%v", pre, other)
 	}
 	// Without: the synonym surface is still a UMLS term but lands in
 	// "other" — the paper's predefined-surgical failure mode.
-	terms = newTermExtractor(t, false).Extract(body, ontology.PredefinedSurgical)
+	terms = newTermExtractor(t, false).ExtractSection(section(body), ontology.PredefinedSurgical)
 	pre, other = SplitTerms(terms)
 	if len(pre) != 1 || len(other) != 1 {
 		t.Errorf("without synonyms: pre=%v other=%v", pre, other)
@@ -109,7 +115,7 @@ func TestExtractSynonymResolution(t *testing.T) {
 
 func TestExtractUnknownTermsIgnored(t *testing.T) {
 	x := newTermExtractor(t, true)
-	terms := x.Extract("Significant for chronic fatigue syndrome.", ontology.PredefinedMedical)
+	terms := x.ExtractSection(section("Significant for chronic fatigue syndrome."), ontology.PredefinedMedical)
 	for _, tm := range terms {
 		if tm.Surface == "chronic fatigue syndrome" {
 			t.Errorf("out-of-vocabulary term extracted: %v", tm)
@@ -119,7 +125,7 @@ func TestExtractUnknownTermsIgnored(t *testing.T) {
 
 func TestExtractDedup(t *testing.T) {
 	x := newTermExtractor(t, true)
-	terms := x.Extract("Diabetes.  Diabetes mellitus.", ontology.PredefinedMedical)
+	terms := x.ExtractSection(section("Diabetes.  Diabetes mellitus."), ontology.PredefinedMedical)
 	count := 0
 	for _, tm := range terms {
 		if tm.Concept.Preferred == "diabetes" {

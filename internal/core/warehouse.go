@@ -46,13 +46,14 @@ func OpenWarehouse(db store.Engine, ont *ontology.Ontology) (*Warehouse, error) 
 // store.Query use).
 func (w *Warehouse) Table() *store.Table { return w.tbl }
 
-// AttrRow is one extracted attribute value, typed.
+// AttrRow is one extracted attribute value, typed. Its JSON form is
+// the daemon's row wire format.
 type AttrRow struct {
-	ID        int64
-	Patient   int64
-	Attribute string
-	Value     string
-	Numeric   float64
+	ID        int64   `json:"-"`
+	Patient   int64   `json:"patient"`
+	Attribute string  `json:"attribute"`
+	Value     string  `json:"value,omitempty"`
+	Numeric   float64 `json:"numeric,omitempty"`
 }
 
 func attrRowFrom(r store.Row) AttrRow {
@@ -67,13 +68,17 @@ func attrRowFrom(r store.Row) AttrRow {
 
 // Cond is one condition of a warehouse question, on a single attribute.
 // Conditions on different attributes combine per patient: Ask returns
-// the patients satisfying all of them.
+// the patients satisfying all of them. Its JSON form is the daemon's
+// condition wire format.
 type Cond struct {
-	Attr     string   // attribute name, e.g. "pulse", "smoking"
-	Term     string   // equality on the value column (concept term), "" = any
-	Min, Max *float64 // bounds on the numeric column
-	MinExcl  bool     // Min is exclusive (">"), default inclusive (">=")
-	MaxExcl  bool     // Max is exclusive ("<"), default inclusive ("<=")
+	Attr string `json:"attr"`           // attribute name, e.g. "pulse", "smoking"
+	Term string `json:"term,omitempty"` // equality on the value column (concept term), "" = any
+	// Min and Max bound the numeric column; each is inclusive (">=",
+	// "<=") unless its Excl flag makes it exclusive (">", "<").
+	Min     *float64 `json:"min,omitempty"`
+	Max     *float64 `json:"max,omitempty"`
+	MinExcl bool     `json:"minExclusive,omitempty"`
+	MaxExcl bool     `json:"maxExclusive,omitempty"`
 }
 
 // HasAttr matches patients that have any value for the attribute.
@@ -86,11 +91,6 @@ func HasTerm(attr, term string) Cond { return Cond{Attr: attr, Term: term} }
 // NumAbove matches attribute values strictly greater than v.
 func NumAbove(attr string, v float64) Cond {
 	return Cond{Attr: attr, Min: &v, MinExcl: true}
-}
-
-// NumBelow matches attribute values strictly less than v.
-func NumBelow(attr string, v float64) Cond {
-	return Cond{Attr: attr, Max: &v, MaxExcl: true}
 }
 
 // NumBetween matches attribute values in [lo, hi].

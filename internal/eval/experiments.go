@@ -9,6 +9,7 @@ import (
 	"repro/internal/id3"
 	"repro/internal/ontology"
 	"repro/internal/records"
+	"repro/internal/textproc"
 )
 
 // Experiments drive the reproduction of every table and figure in the
@@ -30,7 +31,7 @@ func RunE1(recs []records.Record, strategy core.Strategy) E1Result {
 	x := core.NewNumericExtractor(strategy)
 	res := E1Result{Strategy: strategy, PerAttr: map[string]Accuracy{}}
 	for _, r := range recs {
-		got := x.Extract(r.Text)
+		got := x.ExtractDoc(textproc.Analyze(r.Text))
 		for attr, gold := range r.Gold.Numeric {
 			v, ok := got[attr]
 			correct := ok && v.Value == gold.Value && (!v.Ratio || v.Value2 == gold.Value2)

@@ -15,14 +15,14 @@ func TestCorpusVitalsAllParse(t *testing.T) {
 	recs := records.Generate(records.DefaultGenOptions())
 	parsed, failed := 0, 0
 	for _, r := range recs {
-		secs := textproc.SplitSections(r.Text)
+		doc := textproc.Analyze(r.Text)
 		for _, header := range []string{"Vitals", "GYN History"} {
-			sec, ok := textproc.FindSection(secs, header)
+			sec, ok := doc.Section(header)
 			if !ok {
 				continue
 			}
-			for _, sent := range textproc.SplitSentences(sec.Body) {
-				lk, err := ParseSentence(sent)
+			for i, sent := range sec.Sentences() {
+				lk, err := ParseSection(sec, i)
 				if err != nil {
 					failed++
 					t.Errorf("record %d %s: no linkage for %q", r.ID, header, sent.Text)
@@ -48,14 +48,13 @@ func TestCorpusDiverseParseRate(t *testing.T) {
 	recs := records.Generate(opts)
 	parsed, total := 0, 0
 	for _, r := range recs {
-		secs := textproc.SplitSections(r.Text)
-		sec, ok := textproc.FindSection(secs, "Vitals")
+		sec, ok := textproc.Analyze(r.Text).Section("Vitals")
 		if !ok {
 			continue
 		}
-		for _, sent := range textproc.SplitSentences(sec.Body) {
+		for i, sent := range sec.Sentences() {
 			total++
-			if lk, err := ParseSentence(sent); err == nil {
+			if lk, err := ParseSection(sec, i); err == nil {
 				parsed++
 				verifyLinkageInvariants(t, sent.Text, lk)
 			}

@@ -8,9 +8,10 @@ import (
 )
 
 // Parse the core of the paper's Figure 1 sentence and list its links.
-func ExampleParseSentence() {
-	sent := textproc.SplitSentences("Blood pressure is 144/90.")[0]
-	lk, err := linkgram.ParseSentence(sent)
+// A bare body is analyzed by wrapping it as a section.
+func ExampleParseSection() {
+	sec := &textproc.DocSection{Section: textproc.Section{Body: "Blood pressure is 144/90."}}
+	lk, err := linkgram.ParseSection(sec, 0)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -28,8 +29,8 @@ func ExampleParseSentence() {
 // The §3.1 association: the number closest in linkage distance to the
 // feature keyword is its value.
 func ExampleLinkage_Graph() {
-	sent := textproc.SplitSentences("Blood pressure is 144/90, pulse of 84.")[0]
-	lk, err := linkgram.ParseSentence(sent)
+	sec := &textproc.DocSection{Section: textproc.Section{Body: "Blood pressure is 144/90, pulse of 84."}}
+	lk, err := linkgram.ParseSection(sec, 0)
 	if err != nil {
 		fmt.Println(err)
 		return

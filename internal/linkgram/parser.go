@@ -62,11 +62,6 @@ func Parse(tagged []pos.TaggedToken) (*Linkage, error) {
 	return &Linkage{Words: words, Links: p.relabel(links)}, nil
 }
 
-// ParseSentence tags and parses a textproc sentence in one call.
-func ParseSentence(s textproc.Sentence) (*Linkage, error) {
-	return Parse(pos.TagSentence(s))
-}
-
 // ParseSection parses sentence i of an analyzed section at most once per
 // Document, memoizing both the linkage and the ErrNoLinkage outcome: all
 // consumers of the shared analysis see the same result, and an

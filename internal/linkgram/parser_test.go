@@ -14,9 +14,9 @@ func parseText(t *testing.T, text string) *Linkage {
 	if len(sents) != 1 {
 		t.Fatalf("want 1 sentence, got %d for %q", len(sents), text)
 	}
-	lk, err := ParseSentence(sents[0])
+	lk, err := Parse(pos.TagSentence(sents[0]))
 	if err != nil {
-		t.Fatalf("ParseSentence(%q): %v", text, err)
+		t.Fatalf("Parse(%q): %v", text, err)
 	}
 	return lk
 }
@@ -140,7 +140,7 @@ func TestParseFragmentFails(t *testing.T) {
 	sents := textproc.SplitSentences("None.")
 	if len(sents) != 0 {
 		// "None." may produce a sentence; it must not produce a linkage.
-		if _, err := ParseSentence(sents[0]); err == nil {
+		if _, err := Parse(pos.TagSentence(sents[0])); err == nil {
 			t.Error("expected no linkage for bare 'None.'")
 		}
 	}
@@ -192,7 +192,7 @@ func wordIndex(lk *Linkage, text string) int {
 func TestParseTooLong(t *testing.T) {
 	long := strings.Repeat("pressure is 120 and ", 20) + "pulse is 80."
 	sents := textproc.SplitSentences(long)
-	if _, err := ParseSentence(sents[0]); err == nil {
+	if _, err := Parse(pos.TagSentence(sents[0])); err == nil {
 		t.Error("expected rejection of over-long sentence")
 	}
 }
@@ -232,7 +232,7 @@ func TestListNamesOrder(t *testing.T) {
 
 func TestParseWordTokenMapping(t *testing.T) {
 	sents := textproc.SplitSentences("Pulse of 96.")
-	lk, err := ParseSentence(sents[0])
+	lk, err := Parse(pos.TagSentence(sents[0]))
 	if err != nil {
 		t.Fatal(err)
 	}

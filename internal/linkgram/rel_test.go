@@ -3,12 +3,13 @@ package linkgram
 import (
 	"testing"
 
+	"repro/internal/pos"
 	"repro/internal/textproc"
 )
 
 func TestRelativeClause(t *testing.T) {
 	sents := textproc.SplitSentences("Ms. 2 is a 50-year-old woman who underwent a screening mammogram.")
-	lk, err := ParseSentence(sents[0])
+	lk, err := Parse(pos.TagSentence(sents[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestRelativeClause(t *testing.T) {
 
 func TestIdiomAsWellAs(t *testing.T) {
 	sents := textproc.SplitSentences("The mammogram revealed a solid lesion as well as an abnormal calcification.")
-	lk, err := ParseSentence(sents[0])
+	lk, err := Parse(pos.TagSentence(sents[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestHPIFullSentenceParses(t *testing.T) {
 	}
 	for _, text := range texts {
 		sents := textproc.SplitSentences(text)
-		lk, err := ParseSentence(sents[0])
+		lk, err := Parse(pos.TagSentence(sents[0]))
 		if err != nil {
 			t.Errorf("no linkage for %q: %v", text, err)
 			continue
@@ -60,5 +61,5 @@ func TestMatchIdiomBoundary(t *testing.T) {
 	sents := textproc.SplitSentences("She is doing well.")
 	// "well" alone is not the idiom; the sentence must still parse or
 	// fail gracefully, never panic.
-	_, _ = ParseSentence(sents[0])
+	_, _ = Parse(pos.TagSentence(sents[0]))
 }

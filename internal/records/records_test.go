@@ -36,9 +36,9 @@ func TestGenerateSmokingQuotas(t *testing.T) {
 func TestGenerateSectionsParse(t *testing.T) {
 	recs := Generate(DefaultGenOptions())
 	for _, r := range recs[:10] {
-		secs := textproc.SplitSections(r.Text)
+		doc := textproc.Analyze(r.Text)
 		for _, h := range []string{"Patient", "GYN History", "Past Medical History", "Social History", "Vitals"} {
-			if _, ok := textproc.FindSection(secs, h); !ok {
+			if _, ok := doc.Section(h); !ok {
 				t.Errorf("record %d missing section %q", r.ID, h)
 			}
 		}
@@ -114,8 +114,7 @@ func TestGenerateMedicationsGold(t *testing.T) {
 	recs := Generate(DefaultGenOptions())
 	withMeds := 0
 	for _, r := range recs {
-		secs := textproc.SplitSections(r.Text)
-		sec, ok := textproc.FindSection(secs, "Medications")
+		sec, ok := textproc.Analyze(r.Text).Section("Medications")
 		if !ok {
 			t.Fatalf("record %d missing Medications section", r.ID)
 		}
@@ -154,8 +153,7 @@ func TestGenerateBinaryFieldQuotas(t *testing.T) {
 func TestGenerateFamilyHistoryTextConsistent(t *testing.T) {
 	recs := Generate(DefaultGenOptions())
 	for _, r := range recs {
-		secs := textproc.SplitSections(r.Text)
-		sec, ok := textproc.FindSection(secs, "Family History")
+		sec, ok := textproc.Analyze(r.Text).Section("Family History")
 		if !ok {
 			t.Fatalf("record %d missing family history", r.ID)
 		}

@@ -105,14 +105,3 @@ func SplitSections(record string) []Section {
 	}
 	return secs
 }
-
-// FindSection returns the first section with the given header
-// (case-insensitive) and whether it was found.
-func FindSection(secs []Section, header string) (Section, bool) {
-	for _, s := range secs {
-		if strings.EqualFold(s.Header, header) {
-			return s, true
-		}
-	}
-	return Section{}, false
-}

@@ -39,15 +39,15 @@ func TestSplitSectionsFullRecord(t *testing.T) {
 }
 
 func TestSplitSectionsBodies(t *testing.T) {
-	secs := SplitSections(sampleRecord)
-	vitals, ok := FindSection(secs, "Vitals")
+	doc := Analyze(sampleRecord)
+	vitals, ok := doc.Section("Vitals")
 	if !ok {
 		t.Fatal("Vitals section not found")
 	}
 	if !strings.Contains(vitals.Body, "142/78") {
 		t.Errorf("Vitals body = %q", vitals.Body)
 	}
-	pmh, ok := FindSection(secs, "Past Medical History")
+	pmh, ok := doc.Section("Past Medical History")
 	if !ok {
 		t.Fatal("Past Medical History not found")
 	}
@@ -61,12 +61,12 @@ func TestSplitSectionsBodies(t *testing.T) {
 }
 
 func TestSplitSectionsCaseInsensitiveFind(t *testing.T) {
-	secs := SplitSections(sampleRecord)
-	if _, ok := FindSection(secs, "vitals"); !ok {
-		t.Error("case-insensitive FindSection failed")
+	doc := Analyze(sampleRecord)
+	if _, ok := doc.Section("vitals"); !ok {
+		t.Error("case-insensitive Document.Section failed")
 	}
-	if _, ok := FindSection(secs, "Nonexistent"); ok {
-		t.Error("FindSection found a nonexistent header")
+	if _, ok := doc.Section("Nonexistent"); ok {
+		t.Error("Document.Section found a nonexistent header")
 	}
 }
 

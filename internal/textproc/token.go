@@ -50,13 +50,6 @@ type Token struct {
 	End   int // byte offset one past the last byte
 }
 
-// IsWord reports whether the token is an alphabetic word.
-func (t Token) IsWord() bool { return t.Kind == Word }
-
-// IsNumber reports whether the token is a numeric literal (digits,
-// decimals, or ratios such as blood pressure readings).
-func (t Token) IsNumber() bool { return t.Kind == Number }
-
 // Lower returns the lower-cased token text.
 func (t Token) Lower() string { return strings.ToLower(t.Text) }
 
